@@ -8,9 +8,11 @@ counter-model found, claim failed); 2 usage, parse or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import structure
 from .abelian import recover_group, subtraction_quasigroup
@@ -20,6 +22,9 @@ from .quasigroup import Quasigroup
 from .search import SearchOptions, count as count_models, find_all
 from .tables import format_table, parse_group_spec, read_table
 from .verification import run_verification
+
+# Branching nodes between progress records under --verbose.
+VERBOSE_PROGRESS_INTERVAL = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,6 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker count; accepted for compatibility, the engine is single-process "
                         "and its output does not depend on this value")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log progress to stderr (stdout is unchanged)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="check an identity against a Cayley table file")
@@ -95,6 +102,7 @@ def _cmd_find(args) -> int:
         identities=tuple(idents),
         up_to_isomorphism=args.up_to_iso,
         limit=args.limit,
+        progress_interval=VERBOSE_PROGRESS_INTERVAL if args.verbose else None,
     )
     if args.count_only:
         n = count_models(opts, max_order=args.max_order)
@@ -209,13 +217,32 @@ _HANDLERS = {
 }
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool) -> Iterator[None]:
+    """While active, show the ``quasilab`` logger's INFO records on stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("quasilab")
+    handler = logging.StreamHandler(sys.stderr)
+    saved_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
-        return _HANDLERS[args.command](args)
+        with _log_to_stderr(args.verbose):
+            return _HANDLERS[args.command](args)
     except QuasilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

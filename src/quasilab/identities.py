@@ -8,7 +8,9 @@ Grammar (all operators share one precedence level, left-associative):
     VAR      :=  [a-z][a-z0-9]*
 
 Whitespace is ignored.  Juxtaposition is not multiplication: ``xy`` lexes as
-one variable named "xy", so ``*`` is mandatory between factors.
+one variable named "xy", so ``*`` is mandatory between factors.  Terms may
+nest at most ``MAX_TERM_DEPTH`` levels, counting both parentheses and
+operator applications; deeper input raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ MUL = "*"
 LDIV = "\\"
 RDIV = "/"
 _OPS = (MUL, LDIV, RDIV)
+
+# Bounds the recursion of the parser and of every walker over a Term.
+MAX_TERM_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,7 @@ class _Parser:
     def __init__(self, toks: list[tuple[str, str, int]]):
         self.toks = toks
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -149,25 +155,36 @@ class _Parser:
         return tok
 
     def term(self) -> Term:
-        node = self.atom()
-        while self.peek()[0] == "op":
-            op = self.advance()[1]
-            node = BinOp(op, node, self.atom())
-        return node
+        return self._term()[0]
 
-    def atom(self) -> Term:
+    def _term(self) -> tuple[Term, int]:
+        """A term and its height (a variable has height 0)."""
+        node, height = self.atom()
+        while self.peek()[0] == "op":
+            _, op, pos = self.advance()
+            rhs, rhs_height = self.atom()
+            node, height = BinOp(op, node, rhs), 1 + max(height, rhs_height)
+            if height > MAX_TERM_DEPTH:
+                raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", pos)
+        return node, height
+
+    def atom(self) -> tuple[Term, int]:
         kind, value, pos = self.peek()
         if kind == "var":
             self.advance()
-            return Var(value)
+            return Var(value), 0
         if kind == "lparen":
+            self.parens += 1
+            if self.parens > MAX_TERM_DEPTH:
+                raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", pos)
             self.advance()
-            node = self.term()
+            inner = self._term()
             kind, _, pos = self.peek()
             if kind != "rparen":
                 raise ParseError("unbalanced parenthesis", pos, expected="')'")
             self.advance()
-            return node
+            self.parens -= 1
+            return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
                          pos, expected="variable or '('")
 

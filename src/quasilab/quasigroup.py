@@ -35,6 +35,15 @@ _PARASTROPHE_NAMES = {
 }
 
 
+def _table_key(table: np.ndarray) -> bytes:
+    """Row-major bytes of an order-n table, in the narrowest unsigned dtype
+    that holds n - 1 (one byte per cell up to order 256).  Wider cells are
+    big-endian, so byte order is lexicographic table order at every order.
+    """
+    dtype = np.min_scalar_type(table.shape[0] - 1).newbyteorder(">")
+    return table.astype(dtype).tobytes()
+
+
 @dataclass(frozen=True)
 class ParastropheSelector:
     """A permutation of the three slots of the relation x1*x2 = x3.
@@ -271,8 +280,9 @@ class Quasigroup:
     # -- value semantics ------------------------------------------------------------
 
     def key(self) -> bytes:
-        """Canonical hashable key: the row-major table bytes (orders < 256)."""
-        return self._table.astype(np.uint8).tobytes()
+        """Canonical hashable key: the row-major table bytes; sorting keys
+        sorts tables lexicographically."""
+        return _table_key(self._table)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,20 +1,38 @@
 """Exhaustive enumeration of quasigroups satisfying identities.
 
-Backtracking Latin-square completion: cells carry candidate bitmasks derived
-from row/column used-symbol masks, the most constrained cell is filled first
-(ties broken by (row, col)), and after each assignment every identity instance
-whose subterm lookups are all determined is evaluated; a determined unequal
-instance prunes the branch.  No partial lookahead: propagation fires only on
-fully ground instances, which keeps the engine simple and exactly matches a
-naive filter over all Latin squares (tested at small orders).
+Backtracking Latin-square completion with forced-cell propagation.  Cells
+carry candidate bitmasks derived from row/column used-symbol masks, and the
+most constrained cell is branched on first (ties broken by (row, col)).
 
-Results are globally sorted, so output order is independent of search order.
+Each identity is compiled once per search into a post-order instruction list
+over the flattened n^k assignment grid.  The partial table is held as three
+sentinel-padded (n+1) x (n+1) arrays for ``*``, ``\\`` and ``/``: an unknown
+cell holds n, and so do row n and column n, so a lookup with an unknown
+argument is itself unknown.  After every branching assignment all identities
+are evaluated over the whole grid, repeatedly until nothing changes:
+
+* an instance whose two sides are known and unequal prunes the branch;
+* an instance with one side known whose other side's top lookup has known
+  arguments but an unknown result forces that cell of ``*`` (Mace4's rule,
+  W. McCune, ANL/MCS-TM-264, 2003);
+* a forced cell that clashes with an assigned cell or a row/column mask
+  prunes the branch.
+
+Forced cells are recorded on a trail and undone on backtrack.  Propagation
+only removes completions that violate an identity, so the models are exactly
+those of a naive filter over all Latin squares (tested at small orders), and
+each one is re-checked with the exhaustive evaluator before it is returned.
+
+Results are sorted by table bytes, so the full output is independent of
+search order.  With ``limit`` the search keeps the first models it *finds*,
+and which ones those are does depend on search order.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +40,7 @@ import numpy as np
 
 from .errors import OrderTooLarge, QuasilabError, TooManyVariables
 from .identities import Identity, LDIV, MUL, RDIV, Term, Var, holds
-from .quasigroup import Quasigroup
+from .quasigroup import Quasigroup, _table_key
 from .structure import canonical_key
 
 __all__ = [
@@ -71,78 +89,72 @@ def default_max_order(identities: Sequence[Identity]) -> int:
     return DEFAULT_MAX_ORDER_4VAR if worst >= 4 else DEFAULT_MAX_ORDER
 
 
-def _uses_division(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return t.op != MUL or _uses_division(t.lhs) or _uses_division(t.rhs)
+@dataclass(frozen=True)
+class _Compiled:
+    """One identity as a post-order program over the flattened n^k grid.
 
-
-@dataclass
-class _Plan:
-    ident: Identity
-    grids: np.ndarray
-    index: dict[str, int]
-    uses_div: bool
-
-
-def _make_plans(identities: Sequence[Identity], n: int) -> list[_Plan]:
-    plans = []
-    for ident in identities:
-        k = len(ident.vars)
-        grids = np.indices((n,) * k)
-        index = {v: i for i, v in enumerate(ident.vars)}
-        uses_div = _uses_division(ident.lhs) or _uses_division(ident.rhs)
-        plans.append(_Plan(ident, grids, index, uses_div))
-    return plans
-
-
-def _partial_eval(t: Term, tabs, grids, index):
-    """Evaluate over the full assignment grid against a partial table.
-
-    Returns (values, known) where ``known`` is None for an everywhere-known
-    result; unknown cells hold -1 in the tables and poison their instance.
+    Slots ``0..k-1`` hold the variable grids; instruction ``i`` is
+    ``(op, left_slot, right_slot)`` and writes slot ``k + i``.  Repeated
+    subterms share one slot.
     """
-    if isinstance(t, Var):
-        return grids[index[t.name]], None
-    va, ka = _partial_eval(t.lhs, tabs, grids, index)
-    vb, kb = _partial_eval(t.rhs, tabs, grids, index)
-    tab = tabs[t.op]
-    if ka is None and kb is None:
-        raw = tab[va, vb]
-        return raw, raw >= 0
-    if ka is None:
-        kk = kb
-    elif kb is None:
-        kk = ka
-    else:
-        kk = ka & kb
-    sa = np.where(kk, va, 0)
-    sb = np.where(kk, vb, 0)
-    raw = tab[sa, sb]
-    return raw, kk & (raw >= 0)
+
+    grids: tuple[np.ndarray, ...]
+    code: tuple[tuple[str, int, int], ...]
+    lhs: int
+    rhs: int
 
 
-def _ground_instances_ok(tab: np.ndarray, plans: list[_Plan], n: int) -> bool:
-    tabs = {MUL: tab}
-    if any(p.uses_div for p in plans):
-        fixed_r, fixed_c = np.nonzero(tab >= 0)
-        ld = np.full((n, n), -1, dtype=np.int64)
-        ld[fixed_r, tab[fixed_r, fixed_c]] = fixed_c
-        rd = np.full((n, n), -1, dtype=np.int64)
-        rd[tab[fixed_r, fixed_c], fixed_c] = fixed_r
-        tabs[LDIV] = ld
-        tabs[RDIV] = rd
-    for p in plans:
-        lv, lk = _partial_eval(p.ident.lhs, tabs, p.grids, p.index)
-        rv, rk = _partial_eval(p.ident.rhs, tabs, p.grids, p.index)
-        bad = lv != rv
-        if lk is not None:
-            bad &= lk
-        if rk is not None:
-            bad &= rk
-        if bad.any():
-            return False
-    return True
+def _compile(ident: Identity, n: int) -> _Compiled:
+    k = len(ident.vars)
+    slots: dict[Term, int] = {Var(v): i for i, v in enumerate(ident.vars)}
+    code: list[tuple[str, int, int]] = []
+
+    def emit(t: Term) -> int:
+        if t not in slots:
+            code.append((t.op, emit(t.lhs), emit(t.rhs)))
+            slots[t] = k + len(code) - 1
+        return slots[t]
+
+    lhs, rhs = emit(ident.lhs), emit(ident.rhs)
+    grids = tuple(g.ravel() for g in np.indices((n,) * k))
+    return _Compiled(grids, tuple(code), lhs, rhs)
+
+
+def _forced_cells(prog: _Compiled, tabs: dict[str, np.ndarray], n: int) -> Optional[list]:
+    """Cells forced by the identity on the partial table, or None on a violation.
+
+    ``tabs`` are the sentinel-padded ``*``, ``\\`` and ``/`` tables, so a
+    value of ``n`` means unknown.  The result is a list of int arrays of
+    encoded ``(row * (n+1) + col) * (n+1) + symbol`` cells, possibly repeated.
+    """
+    vals = list(prog.grids)
+    for op, a, b in prog.code:
+        vals.append(tabs[op][vals[a], vals[b]])
+    k = len(prog.grids)
+    lv, rv = vals[prog.lhs], vals[prog.rhs]
+    lk, rk = lv < n, rv < n
+    if (lk & rk & (lv != rv)).any():
+        return None
+    pad = n + 1
+    out = []
+    # A known side forces the other side's top lookup once its arguments are known.
+    for slot, value, known in ((prog.lhs, rv, rk), (prog.rhs, lv, lk)):
+        if slot < k:
+            continue
+        op, a, b = prog.code[slot - k]
+        va, vb = vals[a], vals[b]
+        hit = known & (vals[slot] == n) & (va < n) & (vb < n)
+        if not hit.any():
+            continue
+        w, va, vb = value[hit], va[hit], vb[hit]
+        if op == MUL:           # a*b = w
+            r, c, v = va, vb, w
+        elif op == LDIV:        # a\b = w  <=>  a*w = b
+            r, c, v = va, w, vb
+        else:                   # a/b = w   <=>  w*b = a
+            r, c, v = w, vb, va
+        out.append((r * pad + c) * pad + v)
+    return out
 
 
 def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
@@ -155,16 +167,70 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
     if opts.order > bound:
         raise OrderTooLarge(f"order {opts.order} above search bound {bound}")
 
+    start = time.perf_counter()
     n = opts.order
+    pad = n + 1
     full = (1 << n) - 1
-    tab = np.full((n, n), -1, dtype=np.int64)
+    # Sentinel-padded tables: n marks an unknown cell, and row n / column n
+    # are all n, so a lookup with an unknown argument is unknown too.
+    mul = np.full((pad, pad), n, dtype=np.intp)
+    ldiv = mul.copy()
+    rdiv = mul.copy()
+    tabs = {MUL: mul, LDIV: ldiv, RDIV: rdiv}
     cells = [[-1] * n for _ in range(n)]
     row_mask = [0] * n
     col_mask = [0] * n
-    plans = _make_plans(opts.identities, n)
+    trail: list[tuple[int, int, int]] = []
+    progs = [_compile(ident, n) for ident in opts.identities]
     found: list[np.ndarray] = []
-    nodes = 0
+    nodes = forced = prunes = 0
     interval = opts.progress_interval
+
+    def assign(r: int, c: int, v: int) -> bool:
+        bit = 1 << v
+        if cells[r][c] >= 0 or (row_mask[r] | col_mask[c]) & bit:
+            return False
+        cells[r][c] = v
+        mul[r, c] = v
+        ldiv[r, v] = c
+        rdiv[v, c] = r
+        row_mask[r] |= bit
+        col_mask[c] |= bit
+        trail.append((r, c, v))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            r, c, v = trail.pop()
+            bit = ~(1 << v)
+            cells[r][c] = -1
+            mul[r, c] = ldiv[r, v] = rdiv[v, c] = n
+            row_mask[r] &= bit
+            col_mask[c] &= bit
+
+    def propagate() -> bool:
+        """Apply forced cells until none are left; False on a contradiction."""
+        nonlocal forced, prunes
+        while True:
+            batch = []
+            for prog in progs:
+                hits = _forced_cells(prog, tabs, n)
+                if hits is None:
+                    prunes += 1
+                    return False
+                batch.extend(hits)
+            todo = sorted(set(np.concatenate(batch).tolist())) if batch else []
+            if not todo:
+                return True
+            for code in todo:
+                rc, v = divmod(code, pad)
+                r, c = divmod(rc, pad)
+                if cells[r][c] == v:
+                    continue
+                if not assign(r, c, v):
+                    prunes += 1
+                    return False
+                forced += 1
 
     def dfs() -> None:
         nonlocal nodes
@@ -184,31 +250,42 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
                 if cnt < best_cnt:
                     best_cnt, best_r, best_c, best_mask = cnt, r, c, m
         if best_r < 0:
-            found.append(tab.copy())
+            found.append(mul[:n, :n].copy())
             return
+        crow = cells[best_r]
         m = best_mask
-        bit_r = 0
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
+            # The branching cell is written inline: its symbol comes from the
+            # candidate mask, so it needs none of assign()'s checks, and the
+            # pure Latin-square search pays no call or trail overhead.
+            mark = len(trail)
             bit = 1 << v
-            cells[best_r][best_c] = v
-            tab[best_r, best_c] = v
+            crow[best_c] = v
+            mul[best_r, best_c] = v
+            ldiv[best_r, v] = best_c
+            rdiv[v, best_c] = best_r
             row_mask[best_r] |= bit
             col_mask[best_c] |= bit
             nodes += 1
             if interval and nodes % interval == 0:
                 log.info("search order %d: %d nodes, %d models", n, nodes, len(found))
-            if not plans or _ground_instances_ok(tab, plans, n):
+            if not progs or propagate():
                 dfs()
-            cells[best_r][best_c] = -1
-            tab[best_r, best_c] = -1
+            if len(trail) > mark:
+                undo(mark)
+            crow[best_c] = -1
+            mul[best_r, best_c] = ldiv[best_r, v] = rdiv[v, best_c] = n
             row_mask[best_r] &= ~bit
             col_mask[best_c] &= ~bit
             if opts.limit is not None and len(found) >= opts.limit:
                 return
 
-    dfs()
+    if not progs or propagate():
+        dfs()
+    log.debug("search order %d: %d nodes, %d forced cells, %d prunes, %d models in %.3f s",
+              n, nodes, forced, prunes, len(found), time.perf_counter() - start)
     return found
 
 
@@ -218,10 +295,12 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
 
     Every result is re-checked against each identity with the exhaustive
     evaluator before being returned.  With ``limit`` the search stops after
-    that many raw models; they are then sorted (and filtered) as usual.
+    the first ``limit`` raw models it *finds*; only those are then sorted
+    (and filtered) as usual, so which models are kept depends on search
+    order and need not be the lexicographically first ones.
     """
     raw = _search(opts, max_order)
-    raw.sort(key=lambda t: t.astype(np.uint8).tobytes())
+    raw.sort(key=_table_key)
     models = [Quasigroup(t) for t in raw]
     for q in models:
         for ident in opts.identities:

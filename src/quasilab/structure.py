@@ -18,7 +18,7 @@ import numpy as np
 from .abelian import AbelianGroup, core_groupoid, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .permutations import Permutation, orbit
-from .quasigroup import Quasigroup
+from .quasigroup import Quasigroup, _table_key
 
 __all__ = [
     "Autotopy",
@@ -434,7 +434,7 @@ def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
     for perm in itertools.permutations(range(n)):
         pa = np.array(perm, dtype=np.int64)
         inv = np.argsort(pa)
-        key = pa[t[np.ix_(inv, inv)]].astype(np.uint8).tobytes()
+        key = _table_key(pa[t[np.ix_(inv, inv)]])
         if best is None or key < best:
             best = key
     return best

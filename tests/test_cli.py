@@ -53,6 +53,12 @@ def test_check_bad_identity_expr(z4_sub_file):
     assert main(["check", z4_sub_file, "--identity", "nosuch"]) == 2
 
 
+def test_check_deeply_nested_identity_is_a_parse_error(z4_sub_file, capsys):
+    expr = "x = " + "(" * 3000 + "x" + ")" * 3000
+    assert main(["check", z4_sub_file, "--identity-expr", expr]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
 def test_check_json(z3_add_file, capsys):
     assert main(["--format", "json", "check", z3_add_file, "--identity", "neumann"]) == 1
     payload = json.loads(capsys.readouterr().out)
@@ -254,3 +260,17 @@ def test_find_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 2
     assert [[0, 1], [1, 0]] in payload["tables"]
+
+
+def test_verbose_logs_progress_to_stderr_and_keeps_stdout(capsys):
+    argv = ["find", "--order", "6", "--identity", "neumann"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main(["-v"] + argv) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert quiet.err == ""
+    assert "nodes" in loud.err
+    # the handler is removed again after the run
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""

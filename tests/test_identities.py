@@ -97,6 +97,28 @@ def test_bad_character_position():
     assert exc.value.position == 4
 
 
+def test_nesting_depth_limit():
+    from quasilab.identities import MAX_TERM_DEPTH
+
+    d = MAX_TERM_DEPTH
+    # At the limit: parentheses and operator nesting both parse.
+    parse_identity("x = " + "(" * d + "x" + ")" * d)
+    right = parse_identity("x = " + "x*(" * (d - 1) + "x*x" + ")" * (d - 1))
+    assert holds(subtraction_quasigroup(cyclic(1)), right)
+    parse_identity("x = x" + "*x" * d)
+    # One level deeper raises ParseError, not RecursionError.
+    for text in (
+        "x = " + "(" * (d + 1) + "x" + ")" * (d + 1),
+        "x = " + "(" * 3000 + "x" + ")" * 3000,
+        "x = x" + "*x" * (d + 1),
+        "x = " + "x*(" * d + "x*x" + ")" * d,
+    ):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_identity(text)
+    with pytest.raises(ParseError):
+        parse_term("(" * 3000 + "x" + ")" * 3000)
+
+
 def test_only_ascii_digits_in_variable_names():
     with pytest.raises(ParseError):
         parse_identity("x² = x")     # superscript two is not [0-9]

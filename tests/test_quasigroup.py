@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,29 @@ def test_trivial_order_one():
     q = from_table(1, [[0]])
     assert q.order == 1
     assert q.mul(0, 0) == 0
+
+
+def test_key_distinguishes_tables_above_order_256():
+    # Z257 and the same table with symbols 0 and 256 swapped: a one-byte
+    # key would map both symbols to 0 and make the two tables collide.
+    n = 257
+    a = addition_table(n)
+    b = a.copy()
+    b[a == 0] = n - 1
+    b[a == n - 1] = 0
+    qa, qb = Quasigroup(a), Quasigroup(b)
+    assert qa != qb
+    assert qa.key() != qb.key()
+    assert hash(qa) != hash(qb)
+    assert len({qa, qb}) == 2
+    # byte order of keys is lexicographic table order
+    assert (qa.key() < qb.key()) == (qa.to_lists() < qb.to_lists())
+
+
+def test_key_is_one_byte_per_cell_up_to_order_256(z4_sub):
+    assert z4_sub.key() == z4_sub.table.astype(np.uint8).tobytes()
+    q = Quasigroup(addition_table(256))
+    assert len(q.key()) == 256 * 256
 
 
 def test_z3_subtraction_table_is_valid():

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -219,7 +220,7 @@ def test_invalid_options():
 @settings(max_examples=40, deadline=None)
 @given(
     _search_identity_strategy(),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
 )
 def test_search_matches_naive_filter_on_random_identities(ident, n):
     fast = {q.key() for q in find_all(SearchOptions(order=n, identities=(ident,)))}
@@ -247,3 +248,41 @@ def test_progress_interval_logs(caplog):
     with caplog.at_level(logging.INFO, logger="quasilab.search"):
         count(SearchOptions(order=3, progress_interval=5))
     assert any("nodes" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("name, n, expected", [
+    # n!/|Aut| labeled copies of the one model class at each order
+    ("neumann", 6, 360),         # Z6 subtraction, |Aut Z6| = 2
+    ("schweizer", 6, 360),
+    ("eq5", 5, 30),              # Z5, |Aut Z5| = 4
+])
+def test_labeled_model_counts(name, n, expected):
+    assert count(SearchOptions(order=n, identities=(builtin(name),))) == expected
+
+
+def test_neumann_order_7_labeled_count():
+    # 7!/|Aut Z7| = 5040/6
+    models = find_all(SearchOptions(order=7, identities=(builtin("neumann"),)), max_order=7)
+    assert len(models) == 840
+
+
+def _search_log(caplog, opts):
+    with caplog.at_level(logging.DEBUG, logger="quasilab.search"):
+        count(opts)
+    return [r for r in caplog.records if r.name == "quasilab.search"]
+
+
+def test_neumann_order_6_branching_nodes_bounded(caplog):
+    """Work-counter guard: one INFO record per branching node with
+    progress_interval=1; forced cells are not nodes."""
+    opts = SearchOptions(order=6, identities=(builtin("neumann"),), progress_interval=1)
+    nodes = sum(r.levelno == logging.INFO for r in _search_log(caplog, opts))
+    assert 0 < nodes <= 5000
+
+
+def test_search_summary_is_one_debug_record(caplog):
+    opts = SearchOptions(order=4, identities=(builtin("neumann"),))
+    (summary,) = _search_log(caplog, opts)
+    assert summary.levelno == logging.DEBUG
+    for word in ("nodes", "forced cells", "prunes", "models", " s"):
+        assert word in summary.getMessage()
