@@ -34,9 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-order", type=int, default=None,
                    help="override the search/analysis order bound (env: QUASILAB_MAX_ORDER)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; accepted for compatibility, the engine is single-process "
-                        "and its output does not depend on this value")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log progress to stderr (stdout is unchanged)")
@@ -120,16 +117,17 @@ def _cmd_find(args) -> int:
 def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
     n = q.order
     units = q.unit_predicates()
+    identities = {name: holds(q, builtin(name)) for name in builtin_names()}
     report: dict = {
         "schema": 1,
         "order": n,
         "units": {"left": units.left_unit, "right": units.right_unit, "is_loop": units.is_loop},
         "unipotent": units.is_unipotent,
-        "identities": {name: holds(q, builtin(name)) for name in builtin_names()},
+        "identities": identities,
         "nuclei": {side: sorted(structure.nucleus(q, side)) for side in ("left", "right", "middle")},
         "core_distributive": None,
-        "bol": structure.check_left_bol(q),
-        "moufang": structure.check_moufang(q),
+        "bol": identities["left_bol"],
+        "moufang": identities["moufang"],
         "autotopy_count": None,
         "automorphism_count": None,
         "ga": None,
@@ -236,10 +234,7 @@ def _log_to_stderr(enabled: bool) -> Iterator[None]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = _build_parser().parse_args(argv)
     try:
         with _log_to_stderr(args.verbose):
             return _HANDLERS[args.command](args)

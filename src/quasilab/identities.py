@@ -1,4 +1,4 @@
-"""Identity DSL: parse quasigroup equations and check them exhaustively.
+"""Identity DSL: parse quasigroup equations, compile them and check them exhaustively.
 
 Grammar (all operators share one precedence level, left-associative):
 
@@ -11,13 +11,22 @@ Whitespace is ignored.  Juxtaposition is not multiplication: ``xy`` lexes as
 one variable named "xy", so ``*`` is mandatory between factors.  Terms may
 nest at most ``MAX_TERM_DEPTH`` levels, counting both parentheses and
 operator applications; deeper input raises :class:`ParseError`.
+
+Every identity is compiled once, on first use, into :attr:`Identity.program`:
+post-order code of ``(op, left_slot, right_slot)`` instructions over the
+variable slots ``0..k-1`` (variables in first-occurrence order), in which
+repeated subterms share a slot.  ``_run`` is the only evaluator; it executes
+that code by table lookups on whatever the variable slots hold.  ``holds``
+and ``counterexample`` give it sparse index grids, so each intermediate spans
+only the variables it uses; ``eval_term`` gives it scalars; the model search
+gives it flattened full grids and sentinel-padded partial tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -83,6 +92,16 @@ def term_variables(t: Term) -> Iterator[str]:
         yield from term_variables(t.rhs)
 
 
+class Program(NamedTuple):
+    """Post-order code over slots ``0..k-1`` holding the k variables:
+    instruction ``i`` writes slot ``k + i``, and ``lhs``/``rhs`` are the
+    slots holding the two sides."""
+
+    code: tuple[tuple[str, int, int], ...]
+    lhs: int
+    rhs: int
+
+
 @dataclass(frozen=True)
 class Identity:
     """Universally quantified equation of two quasigroup words."""
@@ -98,6 +117,21 @@ class Identity:
         for name in term_variables(self.rhs):
             seen.setdefault(name)
         return tuple(seen)
+
+    @cached_property
+    def program(self) -> Program:
+        """Both sides compiled over the slots of :attr:`vars`."""
+        slots: dict[Term, int] = {Var(v): i for i, v in enumerate(self.vars)}
+        code: list[tuple[str, int, int]] = []
+
+        def emit(t: Term) -> int:
+            if t not in slots:
+                code.append((t.op, emit(t.lhs), emit(t.rhs)))
+                slots[t] = len(self.vars) + len(code) - 1
+            return slots[t]
+
+        lhs, rhs = emit(self.lhs), emit(self.rhs)
+        return Program(tuple(code), lhs, rhs)
 
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
@@ -242,63 +276,66 @@ def format_term(t: Term) -> str:
 # -- semantics ----------------------------------------------------------------------
 
 
+_TABLE_ATTR = {MUL: "table", LDIV: "ldiv_table", RDIV: "rdiv_table"}
+
+
+def _run(code, tables: Mapping[str, np.ndarray], grids) -> list:
+    """Slot values: the variable grids (scalars or arrays), then one table
+    lookup per instruction."""
+    vals = list(grids)
+    for op, a, b in code:
+        vals.append(tables[op][vals[a], vals[b]])
+    return vals
+
+
+def _tables(q: Quasigroup, code) -> dict[str, np.ndarray]:
+    """The operation tables of ``q`` that ``code`` looks up."""
+    return {op: getattr(q, _TABLE_ATTR[op]) for op, _, _ in code}
+
+
 def eval_term(q: Quasigroup, t: Term, assignment: Mapping[str, int]) -> int:
     """Evaluate a word over ``q`` under a variable assignment."""
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {t.name!r} is not assigned") from None
-    a = eval_term(q, t.lhs, assignment)
-    b = eval_term(q, t.rhs, assignment)
-    if t.op == MUL:
-        return q.mul(a, b)
-    if t.op == LDIV:
-        return q.ldiv(a, b)
-    return q.rdiv(a, b)
+    ident = Identity(t, t)
+    for name in ident.vars:
+        if name not in assignment:
+            raise UnboundVariable(f"variable {name!r} is not assigned")
+    values = [assignment[name] for name in ident.vars]
+    q._check_elem(*values)
+    prog = ident.program
+    return int(_run(prog.code, _tables(q, prog.code), values)[prog.lhs])
 
 
-def _grid_eval(q: Quasigroup, t: Term, grids: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
-    if isinstance(t, Var):
-        return grids[index[t.name]]
-    a = _grid_eval(q, t.lhs, grids, index)
-    b = _grid_eval(q, t.rhs, grids, index)
-    if t.op == MUL:
-        return q.table[a, b]
-    if t.op == LDIV:
-        return q.ldiv_table[a, b]
-    return q.rdiv_table[a, b]
+def _violations(q: Quasigroup, ident: Identity) -> np.ndarray:
+    """Boolean array of shape (n,) * k, True where the identity fails.
 
-
-def _first_failure(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
-    """First failing assignment, or None.
-
-    Assignments are enumerated with the first variable of ``ident.vars``
-    cycling fastest (like the least significant digit of a counter).
+    Axis i is ``ident.vars[i]``.  Each slot is evaluated over sparse index
+    grids, so an intermediate spans only the axes of the variables it uses;
+    only the final comparison is broadcast (as a view) to the full shape.
     """
-    vs = ident.vars
     n = q.order
-    k = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    grids = np.indices((n,) * k) if k else np.zeros((0, 1), dtype=np.int64)
-    lhs = _grid_eval(q, ident.lhs, grids, index)
-    rhs = _grid_eval(q, ident.rhs, grids, index)
-    neq = lhs != rhs
-    if not neq.any():
-        return None
-    # Fortran flattening makes axis 0 (the first variable) the fastest.
-    flat = int(np.argmax(neq.flatten(order="F")))
-    return {v: (flat // n**i) % n for i, v in enumerate(vs)}
+    shape = (n,) * len(ident.vars)
+    prog = ident.program
+    vals = _run(prog.code, _tables(q, prog.code), np.indices(shape, sparse=True))
+    return np.broadcast_to(vals[prog.lhs] != vals[prog.rhs], shape)
 
 
 def holds(q: Quasigroup, ident: Identity) -> bool:
     """True iff the identity is satisfied under all n^k assignments."""
-    return _first_failure(q, ident) is None
+    return not _violations(q, ident).any()
 
 
 def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
-    """First failing assignment (first variable fastest), or None if it holds."""
-    return _first_failure(q, ident)
+    """First failing assignment, or None if the identity holds.
+
+    Assignments are enumerated with the first variable of ``ident.vars``
+    cycling fastest (like the least significant digit of a counter).
+    """
+    bad = _violations(q, ident)
+    if not bad.any():
+        return None
+    # Fortran order makes axis 0 (the first variable) the fastest.
+    first = np.unravel_index(int(np.argmax(bad.ravel(order="F"))), bad.shape, order="F")
+    return {v: int(i) for v, i in zip(ident.vars, first)}
 
 
 # -- builtin catalog -----------------------------------------------------------------
@@ -313,6 +350,11 @@ _CATALOG: dict[str, str] = {
     "associative": "(x*y)*z = x*(y*z)",
     "unipotent": "x*x = y*y",
     "schweizer_swapped": "(y*x)*(y*z) = z*x",
+    # Left Bol with the local right unit e_x = x\x (x*e_x = x) and the
+    # inverse right translation w -> w/e_x.
+    "left_bol": "x*(y*(x*z)) = ((x*(y*x))/(x\\x))*z",
+    # Moufang with the local left unit f_x = x/x (f_x*x = x).
+    "moufang": "x*(y*(x*z)) = ((x*(y*(x/x)))*x)*z",
 }
 
 _parsed_catalog: dict[str, Identity] = {}

@@ -4,8 +4,9 @@ Backtracking Latin-square completion with forced-cell propagation.  Cells
 carry candidate bitmasks derived from row/column used-symbol masks, and the
 most constrained cell is branched on first (ties broken by (row, col)).
 
-Each identity is compiled once per search into a post-order instruction list
-over the flattened n^k assignment grid.  The partial table is held as three
+Each identity's compiled form (``Identity.program``, the post-order code that
+``holds`` and ``eval_term`` also run) is evaluated by the same evaluator over
+the flattened n^k assignment grid.  The partial table is held as three
 sentinel-padded (n+1) x (n+1) arrays for ``*``, ``\\`` and ``/``: an unknown
 cell holds n, and so do row n and column n, so a lookup with an unknown
 argument is itself unknown.  After every branching assignment all identities
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OrderTooLarge, QuasilabError, TooManyVariables
-from .identities import Identity, LDIV, MUL, RDIV, Term, Var, holds
+from .identities import Identity, LDIV, MUL, RDIV, Program, _run, holds
 from .quasigroup import Quasigroup, _table_key
 from .structure import canonical_key
 
@@ -89,48 +90,17 @@ def default_max_order(identities: Sequence[Identity]) -> int:
     return DEFAULT_MAX_ORDER_4VAR if worst >= 4 else DEFAULT_MAX_ORDER
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """One identity as a post-order program over the flattened n^k grid.
-
-    Slots ``0..k-1`` hold the variable grids; instruction ``i`` is
-    ``(op, left_slot, right_slot)`` and writes slot ``k + i``.  Repeated
-    subterms share one slot.
-    """
-
-    grids: tuple[np.ndarray, ...]
-    code: tuple[tuple[str, int, int], ...]
-    lhs: int
-    rhs: int
-
-
-def _compile(ident: Identity, n: int) -> _Compiled:
-    k = len(ident.vars)
-    slots: dict[Term, int] = {Var(v): i for i, v in enumerate(ident.vars)}
-    code: list[tuple[str, int, int]] = []
-
-    def emit(t: Term) -> int:
-        if t not in slots:
-            code.append((t.op, emit(t.lhs), emit(t.rhs)))
-            slots[t] = k + len(code) - 1
-        return slots[t]
-
-    lhs, rhs = emit(ident.lhs), emit(ident.rhs)
-    grids = tuple(g.ravel() for g in np.indices((n,) * k))
-    return _Compiled(grids, tuple(code), lhs, rhs)
-
-
-def _forced_cells(prog: _Compiled, tabs: dict[str, np.ndarray], n: int) -> Optional[list]:
+def _forced_cells(prog: Program, grids: tuple[np.ndarray, ...],
+                  tabs: dict[str, np.ndarray], n: int) -> Optional[list]:
     """Cells forced by the identity on the partial table, or None on a violation.
 
-    ``tabs`` are the sentinel-padded ``*``, ``\\`` and ``/`` tables, so a
-    value of ``n`` means unknown.  The result is a list of int arrays of
-    encoded ``(row * (n+1) + col) * (n+1) + symbol`` cells, possibly repeated.
+    ``grids`` are the flattened n^k variable grids and ``tabs`` the
+    sentinel-padded ``*``, ``\\`` and ``/`` tables, so a value of ``n`` means
+    unknown.  The result is a list of int arrays of encoded
+    ``(row * (n+1) + col) * (n+1) + symbol`` cells, possibly repeated.
     """
-    vals = list(prog.grids)
-    for op, a, b in prog.code:
-        vals.append(tabs[op][vals[a], vals[b]])
-    k = len(prog.grids)
+    vals = _run(prog.code, tabs, grids)
+    k = len(grids)
     lv, rv = vals[prog.lhs], vals[prog.rhs]
     lk, rk = lv < n, rv < n
     if (lk & rk & (lv != rv)).any():
@@ -181,7 +151,8 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
     row_mask = [0] * n
     col_mask = [0] * n
     trail: list[tuple[int, int, int]] = []
-    progs = [_compile(ident, n) for ident in opts.identities]
+    progs = [(ident.program, tuple(g.ravel() for g in np.indices((n,) * len(ident.vars))))
+             for ident in opts.identities]
     found: list[np.ndarray] = []
     nodes = forced = prunes = 0
     interval = opts.progress_interval
@@ -213,8 +184,8 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
         nonlocal forced, prunes
         while True:
             batch = []
-            for prog in progs:
-                hits = _forced_cells(prog, tabs, n)
+            for prog, grids in progs:
+                hits = _forced_cells(prog, grids, tabs, n)
                 if hits is None:
                     prunes += 1
                     return False

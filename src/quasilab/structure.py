@@ -9,6 +9,7 @@ n! * n candidates instead of (n!)^3 triples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, core_groupoid, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
+from .identities import _violations, builtin
 from .permutations import Permutation, orbit
 from .quasigroup import Quasigroup, _table_key
 
@@ -90,10 +92,20 @@ def is_autotopy(q: Quasigroup, t: Autotopy) -> bool:
 
 
 def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
-    """Complete, duplicate-free, canonically sorted autotopy group of q."""
+    """Complete, duplicate-free, canonically sorted autotopy group of q.
+
+    The enumeration is cached for the last few tables; each call returns a
+    fresh list.
+    """
+    if q.order > max_order:
+        raise OrderTooLarge(f"order {q.order} above autotopy bound {max_order}")
+    return list(_autotopy_group(q))
+
+
+# Quasigroups are immutable and hash by table, so equal tables share an entry.
+@functools.lru_cache(maxsize=8)
+def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
     n = q.order
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} above autotopy bound {max_order}")
     tab = q.table
     ldiv = q.ldiv_table
     col0 = tab[:, 0]
@@ -109,7 +121,7 @@ def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autot
             if (gamma[tab] == tab[np.ix_(alpha_arr, beta)]).all():
                 found.append(Autotopy(Permutation(alpha), Permutation(beta), Permutation(gamma)))
     found.sort()
-    return found
+    return tuple(found)
 
 
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
@@ -268,9 +280,8 @@ def _third_components_transitive(q: Quasigroup, ts: Sequence[Autotopy]) -> bool:
 
 def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
     """GA flags: transitivity of third components of A-pseudoautomorphisms."""
-    ats = autotopies(q, max_order=max_order)
-    right = [t for t in ats if t.beta == t.gamma]
-    left = [t for t in ats if t.alpha == t.gamma]
+    right = a_pseudoautomorphisms(q, "right", max_order=max_order)
+    left = a_pseudoautomorphisms(q, "left", max_order=max_order)
     right_ga = _third_components_transitive(q, right)
     left_ga = _third_components_transitive(q, left)
     return GAProfile(left_ga=left_ga, right_ga=right_ga, ga=left_ga and right_ga)
@@ -278,9 +289,8 @@ def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
 
 def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
     """G flags: transitivity of third components of pseudoautomorphism triples."""
-    ats = autotopies(q, max_order=max_order)
-    right = [t for _, t in _pseudo_pairs(q, "right", ats=ats)]
-    left = [t for _, t in _pseudo_pairs(q, "left", ats=ats)]
+    right = [t for _, t in _pseudo_pairs(q, "right", max_order=max_order)]
+    left = [t for _, t in _pseudo_pairs(q, "left", max_order=max_order)]
     return GProfile(
         left_g=_third_components_transitive(q, left),
         right_g=_third_components_transitive(q, right),
@@ -306,22 +316,18 @@ def nucleus(q: Quasigroup, side: str) -> set[int]:
     return out
 
 
+def _first_violation(q: Quasigroup, name: str) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first (x, y, z) at which a catalog law fails, or None."""
+    bad = _violations(q, builtin(name))
+    if not bad.any():
+        return None
+    x, y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return int(x), int(y), int(z)
+
+
 def left_bol_counterexample(q: Quasigroup) -> Optional[tuple[int, int, int]]:
     """First (x, y, z) violating x(y.xz) = Rinv_{e_x}(x.yx) * z, where x*e_x = x."""
-    t = q.table
-    n = q.order
-    for x in range(n):
-        e_x = int(q.ldiv_table[x, x])
-        rinv = np.argsort(t[:, e_x])
-        rowx = t[x]
-        lhs = rowx[t[:, rowx]]            # lhs[y, z] = x*(y*(x*z))
-        w = rinv[rowx[t[:, x]]]           # w[y] = Rinv(x*(y*x))
-        rhs = t[w]                        # rhs[y, z] = w[y]*z
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            y, z = (int(v) for v in bad[0])
-            return (x, y, z)
-    return None
+    return _first_violation(q, "left_bol")
 
 
 def check_left_bol(q: Quasigroup) -> bool:
@@ -330,21 +336,7 @@ def check_left_bol(q: Quasigroup) -> bool:
 
 def moufang_counterexample(q: Quasigroup) -> Optional[tuple[int, int, int]]:
     """First (x, y, z) violating x(y.xz) = ((x.y f_x)x) * z, where f_x*x = x."""
-    t = q.table
-    n = q.order
-    for x in range(n):
-        f_x = int(q.rdiv_table[x, x])
-        rowx = t[x]
-        colx = t[:, x]
-        lhs = rowx[t[:, rowx]]            # lhs[y, z] = x*(y*(x*z))
-        u = rowx[t[:, f_x]]               # u[y] = x*(y*f_x)
-        v = colx[u]                       # v[y] = (x*(y*f_x))*x
-        rhs = t[v]                        # rhs[y, z] = v[y]*z
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            y, z = (int(v_) for v_ in bad[0])
-            return (x, y, z)
-    return None
+    return _first_violation(q, "moufang")
 
 
 def check_moufang(q: Quasigroup) -> bool:

@@ -59,6 +59,35 @@ def holds_bruteforce(table, ident: Identity) -> bool:
     return first_failure_bruteforce(table, ident) is None
 
 
+def left_bol_first_failure(table):
+    """Lexicographically first (x, y, z) with x(y(xz)) != R_{e_x}^{-1}(x(yx)) z,
+    where e_x is the local right unit x*e_x = x."""
+    n = len(table)
+    for x in range(n):
+        e_x = next(e for e in range(n) if table[x][e] == x)
+        for y in range(n):
+            w = table[x][table[y][x]]
+            r = next(r for r in range(n) if table[r][e_x] == w)
+            for z in range(n):
+                if table[x][table[y][table[x][z]]] != table[r][z]:
+                    return (x, y, z)
+    return None
+
+
+def moufang_first_failure(table):
+    """Lexicographically first (x, y, z) with x(y(xz)) != ((x(y f_x))x) z,
+    where f_x is the local left unit f_x*x = x."""
+    n = len(table)
+    for x in range(n):
+        f_x = next(f for f in range(n) if table[f][x] == x)
+        for y in range(n):
+            v = table[table[x][table[y][f_x]]][x]
+            for z in range(n):
+                if table[x][table[y][table[x][z]]] != table[v][z]:
+                    return (x, y, z)
+    return None
+
+
 def naive_autotopies(table) -> set[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """All-triples autotopy scan: every (alpha, beta, gamma) in Sym(n)^3."""
     n = len(table)

@@ -190,6 +190,23 @@ def test_recover_without_right_unit(no_right_unit_q5):
         recover_group(no_right_unit_q5)
 
 
+def test_recover_commutative_loop_fails_associativity():
+    # A commutative loop with unit 0: the derived addition x*(0*y) is the
+    # table itself, which is not associative.
+    q = Quasigroup([
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ])
+    with pytest.raises(NotAbelianGroup) as exc:
+        recover_group(q)
+    assert exc.value.axiom == "associativity"
+    assert exc.value.witness == (2, 2, 4)
+
+
 # -- two-torsion and core ----------------------------------------------------------------
 
 

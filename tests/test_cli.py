@@ -250,9 +250,11 @@ def test_verify_paper_deterministic(capsys):
 # -- global flags ---------------------------------------------------------------------------
 
 
-def test_threads_flag_accepted(capsys):
-    assert main(["--threads", "4", "find", "--order", "2", "--count-only"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+def test_threads_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "find", "--order", "2", "--count-only"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_find_json(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from quasilab import (
     BinOp,
     EmptySide,
     MissingEquals,
+    OutOfRange,
     ParseError,
     Quasigroup,
     UnboundVariable,
@@ -141,6 +144,12 @@ def test_eval_unbound(z4_sub):
         eval_term(z4_sub, parse_term("x*y"), {"x": 0})
 
 
+def test_eval_out_of_range_does_not_wrap(z4_sub):
+    for bad in (-1, 4):
+        with pytest.raises(OutOfRange):
+            eval_term(z4_sub, parse_term("x*y"), {"x": bad, "y": 0})
+
+
 def test_ldiv_cancellation_everywhere(z5_sub):
     t = parse_term("x\\(x*y)")
     for x in range(5):
@@ -177,6 +186,21 @@ def test_holds_matches_bruteforce(name, n):
         q = Quasigroup(table)
         assert holds(q, ident) == holds_bruteforce(q.to_lists(), ident)
         assert counterexample(q, ident) == first_failure_bruteforce(q.to_lists(), ident)
+
+
+def test_holds_memory_stays_below_three_full_grids():
+    # Intermediates span only the variables they use; a full int64 grid of
+    # all n^4 assignments is 2.5 MiB at n = 24.
+    n = 24
+    q = subtraction_quasigroup(cyclic(n))
+    medial = builtin("medial")
+    tracemalloc.start()
+    try:
+        assert holds(q, medial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n**4 * 8
 
 
 # -- builtins -------------------------------------------------------------------------

@@ -32,7 +32,15 @@ from quasilab import (
     relabel,
     subtraction_quasigroup,
 )
-from oracles import naive_autotopies, relabel_table
+from quasilab import structure
+from quasilab.cli import _analyze_report
+from oracles import (
+    all_latin_squares,
+    left_bol_first_failure,
+    moufang_first_failure,
+    naive_autotopies,
+    relabel_table,
+)
 
 
 # -- autotopy enumeration -----------------------------------------------------------
@@ -71,6 +79,19 @@ def test_autotopy_group_closure(z4_sub):
     for t in ats:
         assert t.inverse().sort_key() in pool
         assert is_autotopy(z4_sub, t)
+
+
+def test_autotopies_enumerated_once_per_analyze_report(z5_sub):
+    structure._autotopy_group.cache_clear()
+    _analyze_report(z5_sub, None)
+    assert structure._autotopy_group.cache_info().misses == 1
+
+
+def test_autotopies_returns_a_fresh_list(z4_sub):
+    first = autotopies(z4_sub)
+    first.clear()
+    again = autotopies(z4_sub)
+    assert len(again) == 32
 
 
 def test_autotopy_bound(z5_sub):
@@ -286,6 +307,15 @@ def test_moufang_counterexample_reported(no_right_unit_q5):
     cx = moufang_counterexample(no_right_unit_q5)
     assert cx == (0, 1, 0)
     assert not check_moufang(no_right_unit_q5)
+
+
+def test_bol_moufang_counterexamples_match_oracles():
+    squares = [t for n in range(1, 5) for t in all_latin_squares(n)]
+    assert len(squares) == 591
+    for table in squares:
+        q = Quasigroup(table)
+        assert left_bol_counterexample(q) == left_bol_first_failure(table)
+        assert moufang_counterexample(q) == moufang_first_failure(table)
 
 
 def test_core_distributive(z4_sub, z5_sub):
