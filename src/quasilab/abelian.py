@@ -4,7 +4,8 @@ The central constructions: ``subtraction_quasigroup`` builds x*y = x - y over
 a group, and ``recover_group`` inverts it, extracting the unique abelian group
 hiding inside any quasigroup of that shape (the addition is rebuilt as
 x + y := x*(e*y) where e is the right unit, and every group axiom plus the
-x - y representation is verified explicitly).
+x - y representation is verified explicitly).  ``automorphism_group`` runs
+the isomorphism search of ``quasigroup`` on the addition table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     RepresentationMismatch,
 )
 from .permutations import Permutation
-from .quasigroup import Quasigroup
+from .quasigroup import Quasigroup, _isomorphisms
 
 __all__ = [
     "AbelianGroup",
@@ -216,93 +217,16 @@ def enumerate_abelian_groups(n: int, max_order: int = ENUMERATION_MAX_ORDER) -> 
     return groups
 
 
-def _span(add: np.ndarray, zero: int, base: set[int], gen: int) -> set[int]:
-    """Subgroup generated by a subgroup ``base`` and one extra element."""
-    span = set(base)
-    frontier = list(span)
-    while frontier:
-        a = frontier.pop()
-        b = int(add[a, gen])
-        if b not in span:
-            span.add(b)
-            frontier.append(b)
-    return span
-
-
 def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
-    """All bijections fixing zero and preserving addition, sorted by image.
+    """All bijections preserving addition (so fixing zero), sorted by image.
 
-    Backtracks over images of a greedy generating sequence; candidate images
-    must match the generator's element order, and the partial map is extended
-    homomorphically with consistency and injectivity checks at each step.
+    Each automorphism is fixed by the images of a generating set; the shared
+    isomorphism search branches on those and closes the map over sums.
     """
     n = g.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    add = g.table
-    zero = g.zero
-
-    gens: list[int] = []
-    span: set[int] = {zero}
-    for a in range(n):
-        if a not in span:
-            gens.append(a)
-            span = _span(add, zero, span, a)
-
-    orders = [g.element_order(a) for a in range(n)]
-    results: list[Permutation] = []
-
-    def extend(theta: dict[int, int], gen: int, img: int) -> Optional[dict[int, int]]:
-        new = dict(theta)
-        used = set(new.values())
-        old_elems = list(new)
-        if gen in new:
-            return new if new[gen] == img else None
-        if img in used:
-            return None
-        new[gen] = img
-        used.add(img)
-        added = [gen]
-        frontier = list(old_elems) + [gen]
-        while frontier:
-            a = frontier.pop()
-            b = int(add[a, gen])
-            ib = int(add[new[a], img])
-            if b in new:
-                if new[b] != ib:
-                    return None
-            else:
-                if ib in used:
-                    return None
-                new[b] = ib
-                used.add(ib)
-                added.append(b)
-                frontier.append(b)
-        # homomorphism check on every pair touching a newly mapped element
-        for a in added:
-            ia = new[a]
-            for b, ib in new.items():
-                if new[int(add[a, b])] != int(add[ia, ib]):
-                    return None
-        return new
-
-    def dfs(i: int, theta: dict[int, int]):
-        if i == len(gens):
-            if len(theta) == n:
-                results.append(Permutation([theta[x] for x in range(n)]))
-            return
-        gen = gens[i]
-        target = orders[gen]
-        for img in range(n):
-            if orders[img] != target:
-                continue
-            new = extend(theta, gen, img)
-            if new is not None:
-                dfs(i + 1, new)
-
-    dfs(0, {zero: zero})
-    results.sort()
-    return results
+    return list(_isomorphisms(g.table, g.table))
 
 
 def subtraction_quasigroup(g: AbelianGroup) -> Quasigroup:

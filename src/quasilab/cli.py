@@ -27,6 +27,27 @@ from .verification import run_verification
 VERBOSE_PROGRESS_INTERVAL = 1000
 
 
+def _int_at_least(low: int):
+    """argparse ``type=``: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _row_pair(text: str) -> tuple[int, int]:
+    """argparse ``type=`` for R1,R2: two nonnegative row indices."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected R1,R2, got {text!r}")
+    return tuple(map(_int_at_least(0), parts))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="quasilab",
@@ -46,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--identity-expr", help="identity as text, e.g. 'x*(y*x) = y'")
 
     f = sub.add_parser("find", help="enumerate quasigroups satisfying identities")
-    f.add_argument("--order", type=int, required=True)
+    f.add_argument("--order", type=_int_at_least(1), required=True)
     f.add_argument("--identity", action="append", default=[], help="builtin name (repeatable)")
     f.add_argument("--identity-expr", action="append", default=[], help="identity text (repeatable)")
     f.add_argument("--up-to-iso", action="store_true", help="one representative per isomorphism class")
-    f.add_argument("--limit", type=int, default=None)
+    f.add_argument("--limit", type=_int_at_least(0), default=None)
     f.add_argument("--count-only", action="store_true")
 
     a = sub.add_parser("analyze", help="full structural report for a table file")
@@ -64,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-paper", help="run the built-in claim verification suite")
     v.add_argument("--max-autotopy-order", type=int, default=6)
     v.add_argument("--max-construction-order", type=int, default=8)
-    v.add_argument("--debug-mutate-rows", default=None, metavar="R1,R2",
+    v.add_argument("--debug-mutate-rows", type=_row_pair, default=None, metavar="R1,R2",
                    help="testing hook: swap two rows in constructed tables (must cause failures)")
     return p
 
@@ -192,15 +213,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mutate = None
-    if args.debug_mutate_rows:
-        r1, r2 = (int(v) for v in args.debug_mutate_rows.split(","))
-        mutate = (r1, r2)
     report = run_verification(
         max_order=args.max_order if args.max_order is not None else 5,
         max_autotopy_order=args.max_autotopy_order,
         max_construction_order=args.max_construction_order,
-        mutate_rows=mutate,
+        mutate_rows=args.debug_mutate_rows,
     )
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.overall else 1

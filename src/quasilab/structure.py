@@ -1,10 +1,13 @@
 """Autotopies, pseudoautomorphisms, nuclei and structural predicates.
 
-Autotopy enumeration seeds candidates from (alpha, c) pairs: for an autotopy
-(alpha, beta, gamma) the third component is pinned by gamma(x*0) = alpha(x)*c
-with c = beta(0), and beta follows as beta(y) = alpha(0) \\ gamma(0*y).  Every
-seed is then verified against the full n^2 grid, so the enumeration is exact:
-n! * n candidates instead of (n!)^3 triples.
+Autotopies, automorphisms and ``isomorphic`` all come from one search,
+``quasigroup._isomorphisms``, which maps the least unmapped element and
+closes the map over products, so it branches only on the images of a
+generating set.  An autotopy (alpha, beta, gamma) is the same thing as an
+isomorphism gamma from the principal isotope P_00 onto P_ab, where P_ab is
+x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0); the enumeration runs
+that search for each of the n^2 pairs (a, b) and reads alpha and beta off
+gamma.  ``canonical_key`` still scans all n! relabelings.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .abelian import AbelianGroup, core_groupoid, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .identities import _violations, builtin
 from .permutations import Permutation, orbit
-from .quasigroup import Quasigroup, _table_key
+from .quasigroup import Quasigroup, _isomorphisms, _table_key
 
 __all__ = [
     "Autotopy",
@@ -108,18 +111,18 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
     n = q.order
     tab = q.table
     ldiv = q.ldiv_table
+    rdiv = q.rdiv_table
     col0 = tab[:, 0]
     row0 = tab[0]
+    p00 = tab[np.ix_(rdiv[:, 0], ldiv[0])]
     found: list[Autotopy] = []
-    gamma = np.empty(n, dtype=np.int64)
-    for alpha in itertools.permutations(range(n)):
-        alpha_arr = np.array(alpha, dtype=np.int64)
-        a0 = alpha[0]
-        for c in range(n):
-            gamma[col0] = tab[alpha_arr, c]
-            beta = ldiv[a0, gamma[row0]]
-            if (gamma[tab] == tab[np.ix_(alpha_arr, beta)]).all():
-                found.append(Autotopy(Permutation(alpha), Permutation(beta), Permutation(gamma)))
+    for a in range(n):
+        for b in range(n):
+            # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
+            for gamma in _isomorphisms(p00, tab[np.ix_(rdiv[:, a], ldiv[b])]):
+                alpha = rdiv[gamma.array[col0], a]
+                beta = ldiv[b, gamma.array[row0]]
+                found.append(Autotopy(Permutation(alpha), Permutation(beta), gamma))
     found.sort()
     return tuple(found)
 
@@ -129,13 +132,7 @@ def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> lis
     n = q.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    tab = q.table
-    out = []
-    for alpha in itertools.permutations(range(n)):
-        arr = np.array(alpha, dtype=np.int64)
-        if (arr[tab] == tab[np.ix_(arr, arr)]).all():
-            out.append(Permutation(alpha))
-    return out
+    return list(_isomorphisms(q.table, q.table))
 
 
 @dataclass(frozen=True)
@@ -196,16 +193,12 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _pseudo_pairs(q: Quasigroup, side: str,
-                  ats: Optional[Sequence[Autotopy]] = None,
-                  max_order: int = AUTOTOPY_MAX_ORDER,
+def _pseudo_pairs(q: Quasigroup, side: str, max_order: int = AUTOTOPY_MAX_ORDER,
                   ) -> list[tuple[PseudoautomorphismWitness, Autotopy]]:
     _check_side(side)
     tab = q.table
-    if ats is None:
-        ats = autotopies(q, max_order=max_order)
     pairs = []
-    for t in ats:
+    for t in autotopies(q, max_order=max_order):
         if side == "right":
             if t.beta != t.gamma:
                 continue
@@ -226,13 +219,9 @@ def _pseudo_pairs(q: Quasigroup, side: str,
 
 def pseudoautomorphisms(q: Quasigroup, side: str,
                         max_order: int = AUTOTOPY_MAX_ORDER,
-                        ats: Optional[Sequence[Autotopy]] = None,
                         ) -> list[PseudoautomorphismWitness]:
-    """All (theta, companion) pairs on the given side.
-
-    Pass ``ats`` to reuse an already-enumerated autotopy list.
-    """
-    return [w for w, _ in _pseudo_pairs(q, side, ats=ats, max_order=max_order)]
+    """All (theta, companion) pairs on the given side."""
+    return [w for w, _ in _pseudo_pairs(q, side, max_order=max_order)]
 
 
 def a_pseudoautomorphisms(q: Quasigroup, side: str,
@@ -365,44 +354,11 @@ def core_distributive(q: Quasigroup) -> DistributivityProfile:
 def isomorphic(q1: Quasigroup, q2: Quasigroup) -> Optional[Permutation]:
     """A bijection phi with phi(x*y) = phi(x) o phi(y), or None.
 
-    Backtracks on images in carrier order; at each step only the product
-    constraints newly covered by the latest assignment are rechecked.
+    The lexicographically least such phi (by images) is returned.
     """
     if q1.order != q2.order:
         raise OrderMismatch(f"orders differ: {q1.order} vs {q2.order}")
-    n = q1.order
-    t1 = q1.to_lists()
-    t2 = q2.to_lists()
-    phi = [-1] * n
-    used = [False] * n
-
-    def consistent(k: int) -> bool:
-        for x in range(k + 1):
-            row = t1[x]
-            for y in range(k + 1):
-                p = row[y]
-                if p > k:
-                    continue
-                if x == k or y == k or p == k:
-                    if t2[phi[x]][phi[y]] != phi[p]:
-                        return False
-        return True
-
-    def dfs(k: int) -> bool:
-        if k == n:
-            return True
-        for img in range(n):
-            if used[img]:
-                continue
-            phi[k] = img
-            used[img] = True
-            if consistent(k) and dfs(k + 1):
-                return True
-            used[img] = False
-        phi[k] = -1
-        return False
-
-    return Permutation(phi) if dfs(0) else None
+    return next(_isomorphisms(q1.table, q2.table), None)
 
 
 def relabel(q: Quasigroup, perm: Permutation) -> Quasigroup:

@@ -9,6 +9,7 @@ G_NOTE) is documented in the README.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -123,6 +124,14 @@ def run_verification(
             instances.append(subtraction_quasigroup(g))
     instance_orders = tuple(sorted({q.order for q in instances}))
 
+    # Per-instance structure shared by the claims below; a failure raises
+    # again inside every claim that asks, as a fresh computation would.
+    group_of = functools.cache(recover_group)
+
+    @functools.cache
+    def exponent_2(q: Quasigroup) -> bool:
+        return bool((group_of(q).neg == np.arange(q.order)).all())
+
     def claim(claim_id: str, anchor: str, orders: tuple[int, ...],
               fn: Callable[[], str], vacuous: bool = False) -> None:
         if vacuous:
@@ -193,7 +202,7 @@ def run_verification(
         parts = []
         for q in instances:
             n = q.order
-            g = recover_group(q)
+            g = group_of(q)
             auts = structure.automorphisms(q, max_order=max_autotopy_order)
             group_auts = automorphism_group(g)
             ats = structure.autotopies(q, max_order=max_autotopy_order)
@@ -217,8 +226,7 @@ def run_verification(
             u = q.unit_predicates()
             assert u.is_unipotent, f"{q.label} is not unipotent"
             assert u.right_unit is not None, f"{q.label} has no right unit"
-            exp2 = bool((recover_group(q).neg == np.arange(q.order)).all())
-            assert (u.left_unit is not None) == exp2, \
+            assert (u.left_unit is not None) == exponent_2(q), \
                 f"{q.label}: left unit iff exponent 2 violated"
         return "all instances unipotent with right unit; left unit exactly for exponent 2"
 
@@ -276,7 +284,7 @@ def run_verification(
         parts = []
         for q in instances:
             nuc = structure.nucleus(q, "right")
-            tor = two_torsion(recover_group(q))
+            tor = two_torsion(group_of(q))
             assert nuc == tor, f"{q.label}: right nucleus {sorted(nuc)} != 2-torsion {sorted(tor)}"
             parts.append(f"{q.label.split()[0]}:{sorted(nuc)}")
         return "right nucleus equals the 2-torsion of the group: " + " ".join(parts)
@@ -303,15 +311,15 @@ def run_verification(
         for q in instances:
             if q.order < 3:
                 continue
-            g = recover_group(q)
+            g = group_of(q)
             ats = structure.autotopies(q, max_order=max_autotopy_order)
             decos = {t.sort_key(): structure.decompose_autotopy(q, t, group=g) for t in ats}
-            right = [t for t in ats if t.beta == t.gamma]
+            right = structure.a_pseudoautomorphisms(q, "right", max_order=max_autotopy_order)
             minus_2b = {k for k, d in decos.items()
                         if d.a == g.negate(g.add(d.b, d.b))}
             assert {t.sort_key() for t in right} == minus_2b, \
                 f"{q.label}: beta=gamma filter differs from a = -2b"
-            left = [t for t in ats if t.alpha == t.gamma]
+            left = structure.a_pseudoautomorphisms(q, "left", max_order=max_autotopy_order)
             b_zero = {k for k, d in decos.items() if d.b == g.zero}
             assert {t.sort_key() for t in left} == b_zero, \
                 f"{q.label}: alpha=gamma filter differs from b = 0"
@@ -332,9 +340,8 @@ def run_verification(
         checked = 0
         for n in census_orders:
             for q in find_all(SearchOptions(order=n)):
-                ats = structure.autotopies(q)
                 for side, unit in (("right", "right_unit"), ("left", "left_unit")):
-                    ws = structure.pseudoautomorphisms(q, side, ats=ats)
+                    ws = structure.pseudoautomorphisms(q, side)
                     if any(not w.theta.is_identity() for w in ws):
                         u = getattr(q.unit_predicates(), unit)
                         assert u is not None, \
@@ -350,9 +357,8 @@ def run_verification(
         rights, lefts = [], []
         for q in instances:
             gp = structure.is_g(q, max_order=max_autotopy_order)
-            exp2 = bool((recover_group(q).neg == np.arange(q.order)).all())
             assert gp.right_g, f"{q.label}: expected right G (companions on the right)"
-            assert gp.left_g == exp2, f"{q.label}: left G should hold iff exponent 2"
+            assert gp.left_g == exponent_2(q), f"{q.label}: left G should hold iff exponent 2"
             rights.append(gp.right_g)
             lefts.append(gp.left_g)
         return ("right G in the convention used here (translate after theta on the right); "

@@ -105,6 +105,25 @@ def naive_autotopies(table) -> set[tuple[tuple[int, ...], tuple[int, ...], tuple
     return found
 
 
+def _preserves(t1, t2, phi) -> bool:
+    n = len(t1)
+    return all(phi[t1[x][y]] == t2[phi[x]][phi[y]] for x in range(n) for y in range(n))
+
+
+def naive_automorphisms(table) -> list[tuple[int, ...]]:
+    """Every permutation preserving the table, by a scan of Sym(n) in
+    lexicographic order."""
+    return [p for p in itertools.permutations(range(len(table))) if _preserves(table, table, p)]
+
+
+def first_isomorphism(t1, t2):
+    """The lexicographically first bijection phi with
+    phi(t1[x][y]) = t2[phi x][phi y], or None."""
+    return next(
+        (p for p in itertools.permutations(range(len(t1))) if _preserves(t1, t2, p)), None
+    )
+
+
 def relabel_table(table, phi) -> tuple[tuple[int, ...], ...]:
     """Transport a table along a bijection, plain Python."""
     n = len(table)

@@ -257,6 +257,22 @@ def test_threads_flag_is_unknown(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["find", "--order", "0"],
+    ["find", "--order", "2", "--limit", "-1"],
+    ["verify-paper", "--debug-mutate-rows", "0"],
+    ["verify-paper", "--debug-mutate-rows", "a,b"],
+    ["verify-paper", "--debug-mutate-rows=-1,2"],
+    ["verify-paper", "--debug-mutate-rows", "0,1,2"],
+])
+def test_malformed_numeric_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_find_json(capsys):
     assert main(["--format", "json", "find", "--order", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

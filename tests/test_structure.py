@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from quasilab import (
     automorphism_group,
     automorphisms,
     autotopies,
+    canonical_key,
     check_left_bol,
     check_moufang,
     component_transitive,
@@ -36,8 +38,10 @@ from quasilab import structure
 from quasilab.cli import _analyze_report
 from oracles import (
     all_latin_squares,
+    first_isomorphism,
     left_bol_first_failure,
     moufang_first_failure,
+    naive_automorphisms,
     naive_autotopies,
     relabel_table,
 )
@@ -62,6 +66,18 @@ def test_autotopies_match_naive_scan(spec):
     q = subtraction_quasigroup(parse_group_spec(spec))
     fast = {(t.alpha.image, t.beta.image, t.gamma.image) for t in autotopies(q)}
     assert fast == naive_autotopies(q.to_lists())
+
+
+def test_autotopies_match_naive_scan_on_small_squares():
+    # every square of order <= 3, and the first order-4 square of each of the
+    # 35 isomorphism classes (isomorphic squares have conjugate autotopy groups)
+    reps: dict = {}
+    for sq in all_latin_squares(4):
+        reps.setdefault(canonical_key(Quasigroup(sq)), sq)
+    assert len(reps) == 35
+    for sq in [sq for n in (1, 2, 3) for sq in all_latin_squares(n)] + list(reps.values()):
+        fast = [t.sort_key() for t in autotopies(Quasigroup(sq))]
+        assert fast == sorted(naive_autotopies(sq)), sq
 
 
 def test_autotopies_sorted_and_duplicate_free(z4_sub):
@@ -107,6 +123,12 @@ def test_automorphisms_equal_group_automorphisms(z5_sub, z22_sub):
         quasi = automorphisms(q)
         group = automorphism_group(recover_group(q))
         assert quasi == group          # both sorted by image
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_automorphisms_match_naive_scan_on_every_latin_square(n):
+    for sq in all_latin_squares(n):
+        assert [p.image for p in automorphisms(Quasigroup(sq))] == naive_automorphisms(sq), sq
 
 
 def test_automorphism_counts(z5_sub, z22_sub):
@@ -348,6 +370,20 @@ def test_isomorphic_finds_relabeling(z3_sub):
     assert all(
         found(t1[x][y]) == t2[found(x)][found(y)] for x in range(3) for y in range(3)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_isomorphic_returns_the_lexicographically_first_map(n):
+    rng = random.Random(n)
+    targets = []
+    if n == 4:
+        targets = [subtraction_quasigroup(parse_group_spec(s)).to_lists() for s in ("Z4", "Z2xZ2")]
+    for sq in all_latin_squares(n):
+        phi = list(range(n))
+        rng.shuffle(phi)
+        for other in [relabel_table(sq, phi)] + targets:
+            found = isomorphic(Quasigroup(sq), Quasigroup(other))
+            assert (found.image if found else None) == first_isomorphism(sq, other), (sq, other)
 
 
 def test_isomorphic_order_mismatch(z3_sub, z4_sub):
