@@ -104,6 +104,59 @@ def _isomorphisms(t1, t2) -> Iterator[Permutation]:
     return extend()
 
 
+def _labelings(t) -> Iterator[tuple[int, ...]]:
+    """The table relabeled by each of its generator-sequence labelings, as
+    a flat row-major tuple.
+
+    Each branch gives the least unused label to one unlabeled element, then
+    closes the labeled set over products: pairs in label order as in
+    ``_isomorphisms``, x*y before y*x, each unlabeled product taking the next
+    label.  Every ordered pair is visited once on the way to a leaf, so the
+    visits fill in the whole relabeled table.  Labels depend on nothing but
+    the table and the branch choices, so isomorphic tables yield the same
+    relabeled tables, and the recursion is at most floor(log2 n) + 1 deep.
+    """
+    a = np.asarray(t).tolist()
+    n = len(a)
+    label = [-1] * n
+    order: list[int] = []
+    cells = [0] * (n * n)
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(order) == n:
+            yield tuple(cells)
+            return
+        depth = len(order)
+        for g in range(n):
+            if label[g] >= 0:
+                continue
+            label[g] = depth
+            order.append(g)
+            i = depth
+            while i < len(order):
+                x = order[i]
+                ax = a[x]
+                for j in range(i + 1):
+                    y = order[j]
+                    p = ax[y]
+                    if label[p] < 0:
+                        label[p] = len(order)
+                        order.append(p)
+                    cells[i * n + j] = label[p]
+                    p = a[y][x]
+                    if label[p] < 0:
+                        label[p] = len(order)
+                        order.append(p)
+                    cells[j * n + i] = label[p]
+                i += 1
+            yield from extend()
+            for y in order[depth:]:
+                label[y] = -1
+            del order[depth:]
+
+    return extend()
+
+
 @dataclass(frozen=True)
 class ParastropheSelector:
     """A permutation of the three slots of the relation x1*x2 = x3.

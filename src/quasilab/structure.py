@@ -7,13 +7,14 @@ generating set.  An autotopy (alpha, beta, gamma) is the same thing as an
 isomorphism gamma from the principal isotope P_00 onto P_ab, where P_ab is
 x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0); the enumeration runs
 that search for each of the n^2 pairs (a, b) and reads alpha and beta off
-gamma.  ``canonical_key`` still scans all n! relabelings.
+gamma.  ``canonical_key`` is the least table over the relabelings of
+``quasigroup._labelings``, which likewise branch only on generating
+sequences; nothing here scans all n! permutations.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +24,7 @@ from .abelian import AbelianGroup, core_groupoid, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .identities import _violations, builtin
 from .permutations import Permutation, orbit
-from .quasigroup import Quasigroup, _isomorphisms, _table_key
+from .quasigroup import Quasigroup, _isomorphisms, _labelings, _table_key
 
 __all__ = [
     "Autotopy",
@@ -55,7 +56,7 @@ __all__ = [
 
 AUTOTOPY_MAX_ORDER = 7
 AUTOMORPHISM_MAX_ORDER = 8
-CANONICAL_MAX_ORDER = 8
+CANONICAL_MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -369,23 +370,18 @@ def relabel(q: Quasigroup, perm: Permutation) -> Quasigroup:
 
 
 def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
-    """Lexicographically least relabeling of the table, as bytes.
+    """Least relabeling of the table over its generator-sequence labelings
+    (``quasigroup._labelings``), as bytes.
 
-    Equal keys are exactly isomorphism; cost is n! relabelings, so this is
-    for small orders only.
+    Equal keys are exactly isomorphism.  The labelings branch only on a
+    generating sequence of at most floor(log2 n) + 1 elements, so the cost
+    is n^O(log n) relabelings, not n!.
     """
     n = q.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above canonical-form bound {max_order}")
-    t = q.table
-    best = None
-    for perm in itertools.permutations(range(n)):
-        pa = np.array(perm, dtype=np.int64)
-        inv = np.argsort(pa)
-        key = _table_key(pa[t[np.ix_(inv, inv)]])
-        if best is None or key < best:
-            best = key
-    return best
+    # tuple order is the byte order of _table_key, so only the least is keyed
+    return _table_key(np.reshape(min(_labelings(q.table)), (n, n)))
 
 
 def lp_isotope(q: Quasigroup, a: int, b: int) -> Quasigroup:

@@ -24,7 +24,7 @@ from .abelian import (
     subtraction_quasigroup,
     two_torsion,
 )
-from .errors import QuasilabError
+from .errors import OutOfRange, QuasilabError
 from .identities import builtin, holds
 from .quasigroup import Quasigroup
 from .search import SearchOptions, find_all
@@ -103,9 +103,16 @@ def run_verification(
     """Run every claim and collect a report.
 
     ``mutate_rows`` is a testing hook: it swaps the given rows in every
-    constructed subtraction table before the T6 checks, which must make the
-    suite fail (demonstrating it is not vacuous).
+    constructed subtraction table large enough to have both before the T6
+    checks, which must make the suite fail (demonstrating it is not
+    vacuous).  Raises :class:`OutOfRange` unless the rows are distinct and
+    below ``max_construction_order``, since any other pair changes no table.
     """
+    if mutate_rows is not None and (
+        mutate_rows[0] == mutate_rows[1] or max(mutate_rows) >= max_construction_order
+    ):
+        raise OutOfRange(f"rows to swap must be two distinct rows below the construction "
+                         f"order {max_construction_order}, got {mutate_rows}")
     report = VerificationReport()
     neumann = builtin("neumann")
 

@@ -135,6 +135,12 @@ def relabel_table(table, phi) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def naive_canonical_form(table) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically least relabeling of a table, by a scan of Sym(n);
+    two tables are isomorphic exactly when their forms are equal."""
+    return min(relabel_table(table, phi) for phi in itertools.permutations(range(len(table))))
+
+
 def euler_phi(n: int) -> int:
     from math import gcd
 

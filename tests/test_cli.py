@@ -225,6 +225,16 @@ def test_verify_paper_mutation_hook_fails(capsys):
     assert "T6" in out and "fail" in out
 
 
+@pytest.mark.parametrize("rows", ["0,1000", "0,0", "7,8"])
+def test_verify_paper_mutation_hook_rejects_rows_it_cannot_swap(rows, capsys):
+    # 8 is the default construction order, so rows 0..7 exist in the largest tables
+    code = main(["verify-paper", "--debug-mutate-rows", rows])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_verify_paper_json(capsys):
     code = main([
         "--format", "json", "--max-order", "2",

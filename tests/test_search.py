@@ -23,7 +23,7 @@ from quasilab import (
 )
 from quasilab import Permutation
 from quasilab.identities import BinOp, Identity, LDIV, MUL, RDIV, Var
-from oracles import all_latin_squares, holds_bruteforce
+from oracles import all_latin_squares, holds_bruteforce, naive_canonical_form
 
 
 def _search_identity_strategy():
@@ -112,6 +112,15 @@ def test_up_to_isomorphism():
     for rep in reps:
         cls = [q for q in raw if isomorphic(q, rep) is not None]
         assert min(c.key() for c in cls) == rep.key()
+
+
+def test_up_to_isomorphism_returns_the_lex_first_square_of_each_class():
+    first: dict = {}
+    for sq in all_latin_squares(4):
+        form = naive_canonical_form(sq)
+        first[form] = min(first.get(form, sq), sq)
+    reps = find_all(SearchOptions(4, up_to_isomorphism=True))
+    assert [tuple(map(tuple, q.to_lists())) for q in reps] == sorted(first.values())
 
 
 def test_determinism_and_sorted_output():

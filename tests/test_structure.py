@@ -43,6 +43,7 @@ from oracles import (
     moufang_first_failure,
     naive_automorphisms,
     naive_autotopies,
+    naive_canonical_form,
     relabel_table,
 )
 
@@ -389,6 +390,71 @@ def test_isomorphic_returns_the_lexicographically_first_map(n):
 def test_isomorphic_order_mismatch(z3_sub, z4_sub):
     with pytest.raises(OrderMismatch):
         isomorphic(z3_sub, z4_sub)
+
+
+# -- canonical form ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 5), (4, 35)])
+def test_canonical_key_splits_squares_like_the_naive_scan(n, classes):
+    pairs = {(canonical_key(Quasigroup(sq)), naive_canonical_form(sq)) for sq in all_latin_squares(n)}
+    # equal keys exactly when equal naive forms: the pairing is a bijection
+    assert len({k for k, _ in pairs}) == len({f for _, f in pairs}) == len(pairs) == classes
+
+
+@pytest.mark.parametrize("spec, isotope", [
+    ("Z8", False), ("Z2xZ4", False), ("Z2xZ2xZ2", False), ("Z5", True), ("Z6", True), ("Z7", True),
+])
+def test_canonical_key_is_invariant_under_relabeling(spec, isotope):
+    rng = random.Random(8)
+    q = subtraction_quasigroup(parse_group_spec(spec))
+    n = q.order
+    if isotope:
+        q = q.isotope(*(Permutation(rng.sample(range(n), n)) for _ in range(3)))
+    key = canonical_key(q)
+    for _ in range(3):
+        assert canonical_key(relabel(q, Permutation(rng.sample(range(n), n)))) == key
+
+
+def _matrix_group_table(gens) -> list[list[int]]:
+    """Cayley table of the finite group that 2x2 matrices over Z[i] generate."""
+    def mul(m, k):
+        return tuple(tuple(m[r][0] * k[0][c] + m[r][1] * k[1][c] for c in range(2)) for r in range(2))
+
+    elems = [((1, 0), (0, 1))]
+    for m in elems:  # grows while it is walked: a breadth-first closure
+        for g in gens:
+            p = mul(m, g)
+            if p not in elems:
+                elems.append(p)
+    return [[elems.index(mul(x, y)) for y in elems] for x in elems]
+
+
+def test_canonical_key_separates_the_groups_of_order_8():
+    # the subtraction tables of the three abelian groups, and the Cayley
+    # tables of all five groups (Z8, Z2xZ4, Z2^3, dihedral D4, quaternion Q8);
+    # x - y = x + y in Z2^3, so its two tables are one
+    abelian = [parse_group_spec(s) for s in ("Z8", "Z2xZ4", "Z2xZ2xZ2")]
+    tables = [subtraction_quasigroup(g) for g in abelian] + [Quasigroup(g.table) for g in abelian[:2]]
+    d4 = _matrix_group_table([((0, -1), (1, 0)), ((1, 0), (0, -1))])
+    q8 = _matrix_group_table([((1j, 0), (0, -1j)), ((0, 1), (-1, 0))])
+    tables += [Quasigroup(d4), Quasigroup(q8)]
+    assert all(q.order == 8 for q in tables)
+    assert len({canonical_key(q) for q in tables}) == len(tables) == 7
+
+
+def test_canonical_key_at_order_16():
+    rng = random.Random(16)
+    z2z8 = subtraction_quasigroup(parse_group_spec("Z2xZ8"))
+    r1, r2 = (relabel(z2z8, Permutation(rng.sample(range(16), 16))) for _ in range(2))
+    key = canonical_key(r1)
+    assert canonical_key(r2) == key
+    assert canonical_key(subtraction_quasigroup(parse_group_spec("Z4xZ4"))) != key
+
+
+def test_canonical_key_bound():
+    with pytest.raises(OrderTooLarge):
+        canonical_key(subtraction_quasigroup(parse_group_spec("Z17")))
 
 
 # -- principal loop isotopes ------------------------------------------------------------------
