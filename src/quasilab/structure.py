@@ -7,9 +7,12 @@ generating set.  An autotopy (alpha, beta, gamma) is the same thing as an
 isomorphism gamma from the principal isotope P_00 onto P_ab, where P_ab is
 x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0); the enumeration runs
 that search for each of the n^2 pairs (a, b) and reads alpha and beta off
-gamma.  ``canonical_key`` is the least table over the relabelings of
-``quasigroup._labelings``, which likewise branch only on generating
-sequences; nothing here scans all n! permutations.
+gamma.  One-sided pseudoautomorphisms need no autotopy list: for each
+companion c they are the isomorphisms from q onto one derived Latin square,
+so each side is n runs of the same search.  ``canonical_key`` is the least
+table over the relabelings of ``quasigroup._labelings``, which likewise
+branch only on generating sequences; nothing here scans all n! permutations.
+Nuclei are read off the failures of the catalog's associative law.
 """
 
 from __future__ import annotations
@@ -95,14 +98,18 @@ def is_autotopy(q: Quasigroup, t: Autotopy) -> bool:
     return bool((lhs == rhs).all())
 
 
+def _check_order(q: Quasigroup, max_order: int, bound: str) -> None:
+    if q.order > max_order:
+        raise OrderTooLarge(f"order {q.order} above {bound} bound {max_order}")
+
+
 def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
     """Complete, duplicate-free, canonically sorted autotopy group of q.
 
     The enumeration is cached for the last few tables; each call returns a
     fresh list.
     """
-    if q.order > max_order:
-        raise OrderTooLarge(f"order {q.order} above autotopy bound {max_order}")
+    _check_order(q, max_order, "autotopy")
     return list(_autotopy_group(q))
 
 
@@ -130,9 +137,7 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
 
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
-    n = q.order
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
+    _check_order(q, max_order, "automorphism")
     return list(_isomorphisms(q.table, q.table))
 
 
@@ -194,45 +199,40 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _pseudo_pairs(q: Quasigroup, side: str, max_order: int = AUTOTOPY_MAX_ORDER,
-                  ) -> list[tuple[PseudoautomorphismWitness, Autotopy]]:
-    _check_side(side)
-    tab = q.table
-    pairs = []
-    for t in autotopies(q, max_order=max_order):
-        if side == "right":
-            if t.beta != t.gamma:
-                continue
-            # beta = R_c . alpha forces c = alpha(x) \ beta(x), constant in x
-            c = q.ldiv(t.alpha(0), t.beta(0))
-            if (t.beta.array == tab[t.alpha.array, c]).all():
-                pairs.append((PseudoautomorphismWitness(t.alpha, c, "right"), t))
-        else:
-            if t.alpha != t.gamma:
-                continue
-            # alpha = L_c . beta forces c = alpha(x) / beta(x), constant in x
-            c = q.rdiv(t.alpha(0), t.beta(0))
-            if (t.alpha.array == tab[c, t.beta.array]).all():
-                pairs.append((PseudoautomorphismWitness(t.beta, c, "left"), t))
-    pairs.sort(key=lambda p: (p[0].theta.image, p[0].companion))
-    return pairs
-
-
 def pseudoautomorphisms(q: Quasigroup, side: str,
                         max_order: int = AUTOTOPY_MAX_ORDER,
                         ) -> list[PseudoautomorphismWitness]:
-    """All (theta, companion) pairs on the given side."""
-    return [w for w, _ in _pseudo_pairs(q, side, max_order=max_order)]
+    """All (theta, companion) pairs on the given side, sorted by theta's
+    images and then by companion.
+
+    (theta, R_c.theta, R_c.theta) is an autotopy iff theta is an isomorphism
+    from q onto x o y = (x*(y*c))/c, and (L_c.theta, theta, L_c.theta) is one
+    iff theta is an isomorphism from q onto x o y = c\\((c*x)*y).  Both are
+    Latin squares, so each side is one ``_isomorphisms`` search per c.
+    """
+    _check_side(side)
+    _check_order(q, max_order, "autotopy")
+    tab = q.table
+    found = []
+    for c in range(q.order):
+        if side == "right":
+            target = q.rdiv_table[tab[:, tab[:, c]], c]
+        else:
+            target = q.ldiv_table[c][tab[tab[c]]]
+        found.extend(PseudoautomorphismWitness(theta, c, side)
+                     for theta in _isomorphisms(tab, target))
+    found.sort(key=lambda w: (w.theta.image, w.companion))
+    return found
 
 
 def a_pseudoautomorphisms(q: Quasigroup, side: str,
                           max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
     """Autotopies of shape (alpha, beta, beta) (right) or (alpha, beta, alpha) (left)."""
     _check_side(side)
-    ats = autotopies(q, max_order=max_order)
+    _check_order(q, max_order, "autotopy")
     if side == "right":
-        return [t for t in ats if t.beta == t.gamma]
-    return [t for t in ats if t.alpha == t.gamma]
+        return [t for t in _autotopy_group(q) if t.beta == t.gamma]
+    return [t for t in _autotopy_group(q) if t.alpha == t.gamma]
 
 
 def component_transitive(ts: Sequence[Autotopy], which: int) -> bool:
@@ -263,8 +263,6 @@ class GProfile:
 
 
 def _third_components_transitive(q: Quasigroup, ts: Sequence[Autotopy]) -> bool:
-    if not ts:
-        return q.order == 1
     return len(orbit(0, [t.gamma for t in ts])) == q.order
 
 
@@ -279,31 +277,24 @@ def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
 
 def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
     """G flags: transitivity of third components of pseudoautomorphism triples."""
-    right = [t for _, t in _pseudo_pairs(q, "right", max_order=max_order)]
-    left = [t for _, t in _pseudo_pairs(q, "left", max_order=max_order)]
+    right = [w.to_autotopy(q) for w in pseudoautomorphisms(q, "right", max_order=max_order)]
+    left = [w.to_autotopy(q) for w in pseudoautomorphisms(q, "left", max_order=max_order)]
     return GProfile(
         left_g=_third_components_transitive(q, left),
         right_g=_third_components_transitive(q, right),
     )
 
 
+_NUCLEUS_AXIS = {"left": 0, "middle": 1, "right": 2}
+
+
 def nucleus(q: Quasigroup, side: str) -> set[int]:
-    """Left/right/middle nucleus by exhaustive scan."""
-    t = q.table
-    n = q.order
-    out = set()
-    for a in range(n):
-        if side == "right":
-            ok = (t[:, t[:, a]] == t[t, a]).all()          # x*(y*a) == (x*y)*a
-        elif side == "left":
-            ok = (t[a][t] == t[t[a]]).all()                # a*(x*y) == (a*x)*y
-        elif side == "middle":
-            ok = (t[:, t[a]] == t[t[:, a]]).all()          # x*(a*y) == (x*a)*y
-        else:
-            raise ValueError(f"side must be 'left', 'right' or 'middle', got {side!r}")
-        if ok:
-            out.add(a)
-    return out
+    """Left/middle/right nucleus: the x, y or z at which the catalog's
+    associative law (x*y)*z = x*(y*z) never fails."""
+    if side not in _NUCLEUS_AXIS:
+        raise ValueError(f"side must be 'left', 'right' or 'middle', got {side!r}")
+    bad = _violations(q, builtin("associative"))
+    return {a for a in range(q.order) if not bad.take(a, axis=_NUCLEUS_AXIS[side]).any()}
 
 
 def _first_violation(q: Quasigroup, name: str) -> Optional[tuple[int, int, int]]:
@@ -378,8 +369,7 @@ def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
     is n^O(log n) relabelings, not n!.
     """
     n = q.order
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} above canonical-form bound {max_order}")
+    _check_order(q, max_order, "canonical-form")
     # tuple order is the byte order of _table_key, so only the least is keyed
     return _table_key(np.reshape(min(_labelings(q.table)), (n, n)))
 

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import structure
 from .abelian import (
+    ENUMERATION_MAX_ORDER,
     automorphism_group,
     enumerate_abelian_groups,
     recover_group,
     subtraction_quasigroup,
     two_torsion,
 )
-from .errors import OutOfRange, QuasilabError
+from .errors import OrderTooLarge, OutOfRange, QuasilabError
 from .identities import builtin, holds
 from .quasigroup import Quasigroup
 from .search import SearchOptions, find_all
@@ -107,7 +108,12 @@ def run_verification(
     checks, which must make the suite fail (demonstrating it is not
     vacuous).  Raises :class:`OutOfRange` unless the rows are distinct and
     below ``max_construction_order``, since any other pair changes no table.
+    Raises :class:`OrderTooLarge` if ``max_construction_order`` is above the
+    abelian-group enumeration bound, before any claim runs.
     """
+    if max_construction_order > ENUMERATION_MAX_ORDER:
+        raise OrderTooLarge(f"construction order {max_construction_order} above "
+                            f"enumeration bound {ENUMERATION_MAX_ORDER}")
     if mutate_rows is not None and (
         mutate_rows[0] == mutate_rows[1] or max(mutate_rows) >= max_construction_order
     ):
@@ -121,7 +127,7 @@ def run_verification(
     def models(name: str, n: int) -> list[Quasigroup]:
         key = (name, n)
         if key not in model_cache:
-            model_cache[key] = find_all(SearchOptions(order=n, identities=(builtin(name),)))
+            model_cache[key] = find_all(SearchOptions(order=n, identities=(builtin(name),)), max_order=max_order)
         return model_cache[key]
 
     instances: list[Quasigroup] = []
@@ -346,7 +352,7 @@ def run_verification(
     def t4() -> str:
         checked = 0
         for n in census_orders:
-            for q in find_all(SearchOptions(order=n)):
+            for q in find_all(SearchOptions(order=n), max_order=4):
                 for side, unit in (("right", "right_unit"), ("left", "left_unit")):
                     ws = structure.pseudoautomorphisms(q, side)
                     if any(not w.theta.is_identity() for w in ws):

@@ -141,6 +141,43 @@ def naive_canonical_form(table) -> tuple[tuple[int, ...], ...]:
     return min(relabel_table(table, phi) for phi in itertools.permutations(range(len(table))))
 
 
+def naive_pseudoautomorphisms(table, side: str) -> list[tuple[tuple[int, ...], int]]:
+    """Every (theta, c) in Sym(n) x carrier, in lexicographic order, with
+    theta(x*y)*c = theta(x)*(theta(y)*c) (right: (theta, R_c theta, R_c theta)
+    is an autotopy) or c*theta(x*y) = (c*theta(x))*theta(y) (left:
+    (L_c theta, theta, L_c theta) is an autotopy) for all x, y."""
+    n = len(table)
+    out = []
+    for theta in itertools.permutations(range(n)):
+        for c in range(n):
+            if side == "right":
+                ok = all(table[theta[table[x][y]]][c] == table[theta[x]][table[theta[y]][c]]
+                         for x in range(n) for y in range(n))
+            else:
+                ok = all(table[c][theta[table[x][y]]] == table[table[c][theta[x]]][theta[y]]
+                         for x in range(n) for y in range(n))
+            if ok:
+                out.append((theta, c))
+    return out
+
+
+def naive_nucleus(table, side: str) -> set[int]:
+    """Elements a with (a*x)*y = a*(x*y) (left), (x*a)*y = x*(a*y) (middle)
+    or (x*y)*a = x*(y*a) (right) for all x, y."""
+    n = len(table)
+    out = set()
+    for a in range(n):
+        ok = True
+        for x in range(n):
+            for y in range(n):
+                u, v, w = {"left": (a, x, y), "middle": (x, a, y), "right": (x, y, a)}[side]
+                if table[table[u][v]][w] != table[u][table[v][w]]:
+                    ok = False
+        if ok:
+            out.add(a)
+    return out
+
+
 def euler_phi(n: int) -> int:
     from math import gcd
 

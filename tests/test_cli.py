@@ -235,6 +235,25 @@ def test_verify_paper_mutation_hook_rejects_rows_it_cannot_swap(rows, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_verify_paper_passes_max_order_to_the_search(monkeypatch, capsys):
+    monkeypatch.setenv("QUASILAB_MAX_ORDER", "2")
+    code = main([
+        "--max-order", "3",
+        "verify-paper", "--max-autotopy-order", "3", "--max-construction-order", "3",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "overall: PASS (15 claims, 0 failed, 0 skipped)" in out
+
+
+def test_verify_paper_construction_order_above_enumeration_bound(capsys):
+    code = main(["verify-paper", "--max-construction-order", "65"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "enumeration bound 64" in captured.err
+
+
 def test_verify_paper_json(capsys):
     code = main([
         "--format", "json", "--max-order", "2",

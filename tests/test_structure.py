@@ -44,6 +44,8 @@ from oracles import (
     naive_automorphisms,
     naive_autotopies,
     naive_canonical_form,
+    naive_nucleus,
+    naive_pseudoautomorphisms,
     relabel_table,
 )
 
@@ -220,6 +222,56 @@ def test_z5_subtraction_has_no_left_pseudoautomorphisms(z5_sub):
     assert pseudoautomorphisms(z5_sub, "left") == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pseudoautomorphisms_match_oracle_on_every_small_square(n):
+    for rows in all_latin_squares(n):
+        q = Quasigroup(rows)
+        for side in ("right", "left"):
+            ws = pseudoautomorphisms(q, side)
+            assert all(w.side == side for w in ws)
+            assert [(w.theta.image, w.companion) for w in ws] == \
+                naive_pseudoautomorphisms(rows, side), (rows, side)
+
+
+def _pseudoautomorphisms_by_autotopy_filter(q, side):
+    """The beta = gamma (right) or alpha = gamma (left) autotopies whose
+    translation part is R_c with c = alpha(0) \\ beta(0), resp. L_c with
+    c = alpha(0) / beta(0), as sorted (theta image, c) pairs."""
+    out = []
+    for t in autotopies(q):
+        if side == "right" and t.beta == t.gamma:
+            c = q.ldiv(t.alpha(0), t.beta(0))
+            if (t.beta.array == q.table[t.alpha.array, c]).all():
+                out.append((t.alpha.image, c))
+        elif side == "left" and t.alpha == t.gamma:
+            c = q.rdiv(t.alpha(0), t.beta(0))
+            if (t.alpha.array == q.table[c, t.beta.array]).all():
+                out.append((t.beta.image, c))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("spec", ["Z5", "Z6", "Z7"])
+def test_pseudoautomorphisms_match_autotopy_filter_at_orders_5_to_7(spec):
+    g = parse_group_spec(spec)
+    n = g.order
+    rng = random.Random(n)
+    for base in (Quasigroup(g.table), subtraction_quasigroup(g)):
+        perms = [Permutation(rng.sample(range(n), n)) for _ in range(3)]
+        for q in (base, relabel(base, perms[0]), base.isotope(*perms)):
+            for side in ("right", "left"):
+                got = [(w.theta.image, w.companion) for w in pseudoautomorphisms(q, side)]
+                assert got == _pseudoautomorphisms_by_autotopy_filter(q, side), (q, side)
+
+
+def test_pseudoautomorphisms_bound_and_side():
+    q = subtraction_quasigroup(parse_group_spec("Z8"))
+    with pytest.raises(OrderTooLarge):
+        pseudoautomorphisms(q, "right")
+    assert pseudoautomorphisms(q, "right", max_order=8)
+    with pytest.raises(ValueError):
+        pseudoautomorphisms(q, "top", max_order=8)
+
+
 def test_a_pseudoautomorphism_filters_match_decomposition(z4_sub, z6_sub):
     for q in (z4_sub, z6_sub):
         g = recover_group(q)
@@ -286,6 +338,14 @@ def test_nuclei(z4_sub, z5_sub, z3_add):
         assert nucleus(z3_add, side) == {0, 1, 2}
     with pytest.raises(ValueError):
         nucleus(z3_add, "top")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nucleus_matches_oracle_on_every_small_square(n):
+    for rows in all_latin_squares(n):
+        q = Quasigroup(rows)
+        for side in ("left", "middle", "right"):
+            assert nucleus(q, side) == naive_nucleus(rows, side), (rows, side)
 
 
 # -- Bol, Moufang, core ---------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 
-from quasilab import run_verification
+import pytest
+
+from quasilab import OrderTooLarge, run_verification, structure
+from quasilab.abelian import ENUMERATION_MAX_ORDER
 from quasilab.verification import NEUMANN_INSTANCES
 
 
@@ -16,6 +19,21 @@ def test_default_run_passes():
     assert report.overall
     assert {r.claim_id for r in report.records} == EXPECTED_CLAIMS
     assert all(r.status == "pass" for r in report.records)
+
+
+def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
+    # T7_C1 and L1_T11 each list the autotopies of every instance once;
+    # pseudoautomorphisms and the G profile must not list them at all
+    calls = []
+    listed = structure.autotopies
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return listed(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "autotopies", counting)
+    assert run_verification().overall
+    assert len(calls) <= 2 * len(NEUMANN_INSTANCES)
 
 
 def test_instance_catalog():
@@ -54,3 +72,16 @@ def test_small_bounds_skip_instead_of_fail():
     assert statuses["T4"] == "skipped"          # census needs order >= 2
     assert statuses["T7_C1"] == "skipped"       # no instances fit order <= 1
     assert statuses["T1"] == "pass"
+
+
+def test_claim_orders_are_the_search_bound(monkeypatch):
+    # the env bound is the default for find_all, not a cap on the claim orders
+    monkeypatch.setenv("QUASILAB_MAX_ORDER", "2")
+    report = run_verification(max_order=3, max_autotopy_order=3, max_construction_order=3)
+    assert [r.claim_id for r in report.records if r.status != "pass"] == []
+
+
+def test_construction_order_above_enumeration_bound_raises():
+    with pytest.raises(OrderTooLarge):
+        run_verification(max_order=1, max_autotopy_order=1,
+                         max_construction_order=ENUMERATION_MAX_ORDER + 1)
