@@ -90,6 +90,7 @@ from .structure import (
     left_bol_counterexample,
     lp_isotope,
     moufang_counterexample,
+    nuclei,
     nucleus,
     pseudoautomorphisms,
     relabel,

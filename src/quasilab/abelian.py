@@ -16,12 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadSymbol,
     NoRightUnit,
     NotAbelianGroup,
     NotLatin,
     OrderTooLarge,
     RepresentationMismatch,
 )
+from .identities import _first_violation, builtin
 from .permutations import Permutation
 from .quasigroup import Quasigroup, _isomorphisms
 
@@ -44,18 +46,27 @@ AUTOMORPHISM_MAX_ORDER = 16
 class AbelianGroup:
     """Immutable abelian group given by its full addition table.
 
-    Construction validates every axiom (Latin, two-sided unit, commutativity,
-    associativity); ``zero`` and the negation map are derived from the table.
+    Construction validates the entries and every axiom (Latin, two-sided
+    unit, and the catalog's commutative and associative laws); ``zero`` and
+    the negation map are derived from the table.
     """
 
     __slots__ = ("_table", "_zero", "_neg", "factors", "label")
 
     def __init__(self, table, factors: Optional[tuple[int, ...]] = None,
                  label: Optional[str] = None):
-        arr = np.asarray(table, dtype=np.int64)
-        n = arr.shape[0]
-        if arr.ndim != 2 or arr.shape != (n, n) or n == 0:
+        try:
+            arr = np.asarray(table)
+        except ValueError:
+            raise NotAbelianGroup("table shape") from None
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise NotAbelianGroup("table shape")
+        n = arr.shape[0]
+        try:
+            Quasigroup._check_symbols(arr)
+        except BadSymbol as exc:
+            raise NotAbelianGroup(f"entries ({exc})") from None
+        arr = np.asarray(arr, dtype=np.int64)
         try:
             Quasigroup._check_latin(arr)
         except NotLatin as exc:
@@ -65,18 +76,15 @@ class AbelianGroup:
         if not units.size:
             raise NotAbelianGroup("two-sided unit exists")
         zero = int(units[0])
-        bad = np.argwhere(arr != arr.T)
-        if bad.size:
-            a, b = (int(v) for v in bad[0])
-            raise NotAbelianGroup("commutativity", (a, b))
-        bad = np.argwhere(arr[arr] != arr[:, arr])
-        if bad.size:
-            a, b, c = (int(v) for v in bad[0])
-            raise NotAbelianGroup("associativity", (a, b, c))
+        # the catalog laws read only order and table, so self stands in for a Quasigroup
+        self._table = arr
+        for axiom, law in (("commutativity", "commutative"), ("associativity", "associative")):
+            bad = _first_violation(self, builtin(law))
+            if bad is not None:
+                raise NotAbelianGroup(axiom, bad)
         arr.setflags(write=False)
         neg = (arr == zero).argmax(axis=1).astype(np.int64)
         neg.setflags(write=False)
-        self._table = arr
         self._zero = zero
         self._neg = neg
         self.factors = factors
@@ -105,21 +113,6 @@ class AbelianGroup:
     def negate(self, a: int) -> int:
         return int(self._neg[a])
 
-    def element_order(self, a: int) -> int:
-        m, acc = 1, a
-        while acc != self._zero:
-            acc = int(self._table[acc, a])
-            m += 1
-        return m
-
-    @property
-    def exponent(self) -> int:
-        exp = 1
-        for a in range(self.order):
-            o = self.element_order(a)
-            exp = exp * o // _gcd(exp, o)
-        return exp
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AbelianGroup)
@@ -133,12 +126,6 @@ class AbelianGroup:
     def __repr__(self) -> str:
         tag = self.label or f"order {self.order}"
         return f"AbelianGroup({tag})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclic(n: int) -> AbelianGroup:

@@ -139,14 +139,16 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
     n = q.order
     units = q.unit_predicates()
     identities = {name: holds(q, builtin(name)) for name in builtin_names()}
+    nuclei = structure.nuclei(q)
     report: dict = {
         "schema": 1,
         "order": n,
         "units": {"left": units.left_unit, "right": units.right_unit, "is_loop": units.is_loop},
         "unipotent": units.is_unipotent,
         "identities": identities,
-        "nuclei": {side: sorted(structure.nucleus(q, side)) for side in ("left", "right", "middle")},
-        "core_distributive": None,
+        "nuclei": {side: sorted(nuclei[side]) for side in ("left", "right", "middle")},
+        "core_distributive": {"left": identities["core_left_distributive"],
+                              "right": identities["core_right_distributive"]},
         "bol": identities["left_bol"],
         "moufang": identities["moufang"],
         "autotopy_count": None,
@@ -155,8 +157,6 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
         "g": None,
         "decomposition_ok": None,
     }
-    dist = structure.core_distributive(q)
-    report["core_distributive"] = {"left": dist.left, "right": dist.right}
     atop_bound = max_order if max_order is not None else structure.AUTOTOPY_MAX_ORDER
     auto_bound = max_order if max_order is not None else structure.AUTOMORPHISM_MAX_ORDER
     if n <= auto_bound:

@@ -311,6 +311,8 @@ def _violations(q: Quasigroup, ident: Identity) -> np.ndarray:
     Axis i is ``ident.vars[i]``.  Each slot is evaluated over sparse index
     grids, so an intermediate spans only the axes of the variables it uses;
     only the final comparison is broadcast (as a view) to the full shape.
+    ``q`` is read only through ``order`` and the tables the identity looks
+    up (``table`` alone for a law in ``*``).
     """
     n = q.order
     shape = (n,) * len(ident.vars)
@@ -338,6 +340,14 @@ def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
     return {v: int(i) for v, i in zip(ident.vars, first)}
 
 
+def _first_violation(q: Quasigroup, ident: Identity) -> Optional[tuple[int, ...]]:
+    """First failing assignment in C order (the first variable of
+    ``ident.vars`` slowest, the last fastest) as a tuple, or None."""
+    bad = _violations(q, ident)
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return tuple(int(i) for i in first) if bad[first] else None
+
+
 # -- builtin catalog -----------------------------------------------------------------
 
 _CATALOG: dict[str, str] = {
@@ -355,6 +365,10 @@ _CATALOG: dict[str, str] = {
     "left_bol": "x*(y*(x*z)) = ((x*(y*x))/(x\\x))*z",
     # Moufang with the local left unit f_x = x/x (f_x*x = x).
     "moufang": "x*(y*(x*z)) = ((x*(y*(x/x)))*x)*z",
+    # The two distributive laws of the core x o y = x*(y*x):
+    # x o (y o z) = (x o y) o (x o z) and (x o y) o z = (x o z) o (y o z).
+    "core_left_distributive": "x*((y*(z*y))*x) = (x*(y*x))*((x*(z*x))*(x*(y*x)))",
+    "core_right_distributive": "(x*(y*x))*(z*(x*(y*x))) = (x*(z*x))*((y*(z*y))*(x*(z*x)))",
 }
 
 _parsed_catalog: dict[str, Identity] = {}

@@ -234,6 +234,18 @@ class Quasigroup:
             raise NotSquare("ragged rows: need a square matrix") from None
         if arr.dtype == object or arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotSquare(f"need a nonempty square matrix, got shape {getattr(arr, 'shape', None)}")
+        self._check_symbols(arr)
+        table = arr.astype(np.int64)
+        self._check_latin(table)
+        table.setflags(write=False)
+        self._table = table
+        self._label = label
+        self._ldiv = None
+        self._rdiv = None
+
+    @staticmethod
+    def _check_symbols(arr: np.ndarray) -> None:
+        """Integer entries in 0..n-1, checked before any cast or lookup."""
         if not np.issubdtype(arr.dtype, np.integer):
             if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
                 raise BadSymbol("entries must be integers, not floats")
@@ -243,13 +255,6 @@ class Quasigroup:
         if bad.size:
             r, c = (int(v) for v in bad[0])
             raise BadSymbol(f"entry {int(arr[r, c])} at ({r}, {c}) outside 0..{n - 1}")
-        table = arr.astype(np.int64)
-        self._check_latin(table)
-        table.setflags(write=False)
-        self._table = table
-        self._label = label
-        self._ldiv = None
-        self._rdiv = None
 
     @staticmethod
     def _check_latin(table: np.ndarray) -> None:

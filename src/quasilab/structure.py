@@ -12,7 +12,8 @@ companion c they are the isomorphisms from q onto one derived Latin square,
 so each side is n runs of the same search.  ``canonical_key`` is the least
 table over the relabelings of ``quasigroup._labelings``, which likewise
 branch only on generating sequences; nothing here scans all n! permutations.
-Nuclei are read off the failures of the catalog's associative law.
+Nuclei are read off the failures of the catalog's associative law, and the
+Bol, Moufang and core-distributive checks are catalog laws too.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abelian import AbelianGroup, core_groupoid, recover_group
+from .abelian import AbelianGroup, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
-from .identities import _violations, builtin
+from .identities import _first_violation, _violations, builtin, holds
 from .permutations import Permutation, orbit
 from .quasigroup import Quasigroup, _isomorphisms, _labelings, _table_key
 
@@ -45,6 +46,7 @@ __all__ = [
     "component_transitive",
     "is_ga",
     "is_g",
+    "nuclei",
     "nucleus",
     "check_left_bol",
     "left_bol_counterexample",
@@ -288,27 +290,27 @@ def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
 _NUCLEUS_AXIS = {"left": 0, "middle": 1, "right": 2}
 
 
+def nuclei(q: Quasigroup) -> dict[str, set[int]]:
+    """Left, middle and right nucleus from one evaluation of the catalog's
+    associative law (x*y)*z = x*(y*z): the x, y or z at which it never fails."""
+    bad = _violations(q, builtin("associative"))
+    out = {}
+    for side, axis in _NUCLEUS_AXIS.items():
+        fails = bad.any(axis=tuple(i for i in range(3) if i != axis))
+        out[side] = {int(a) for a in np.flatnonzero(~fails)}
+    return out
+
+
 def nucleus(q: Quasigroup, side: str) -> set[int]:
-    """Left/middle/right nucleus: the x, y or z at which the catalog's
-    associative law (x*y)*z = x*(y*z) never fails."""
+    """One side of :func:`nuclei`: "left", "middle" or "right"."""
     if side not in _NUCLEUS_AXIS:
         raise ValueError(f"side must be 'left', 'right' or 'middle', got {side!r}")
-    bad = _violations(q, builtin("associative"))
-    return {a for a in range(q.order) if not bad.take(a, axis=_NUCLEUS_AXIS[side]).any()}
-
-
-def _first_violation(q: Quasigroup, name: str) -> Optional[tuple[int, int, int]]:
-    """Lexicographically first (x, y, z) at which a catalog law fails, or None."""
-    bad = _violations(q, builtin(name))
-    if not bad.any():
-        return None
-    x, y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return int(x), int(y), int(z)
+    return nuclei(q)[side]
 
 
 def left_bol_counterexample(q: Quasigroup) -> Optional[tuple[int, int, int]]:
     """First (x, y, z) violating x(y.xz) = Rinv_{e_x}(x.yx) * z, where x*e_x = x."""
-    return _first_violation(q, "left_bol")
+    return _first_violation(q, builtin("left_bol"))
 
 
 def check_left_bol(q: Quasigroup) -> bool:
@@ -317,7 +319,7 @@ def check_left_bol(q: Quasigroup) -> bool:
 
 def moufang_counterexample(q: Quasigroup) -> Optional[tuple[int, int, int]]:
     """First (x, y, z) violating x(y.xz) = ((x.y f_x)x) * z, where f_x*x = x."""
-    return _first_violation(q, "moufang")
+    return _first_violation(q, builtin("moufang"))
 
 
 def check_moufang(q: Quasigroup) -> bool:
@@ -331,15 +333,11 @@ class DistributivityProfile:
 
 
 def core_distributive(q: Quasigroup) -> DistributivityProfile:
-    """Both distributive laws of the core x o y = x*(y*x), checked on all triples."""
-    c = core_groupoid(q)
-    left_lhs = c[:, c]                                    # x o (y o z)
-    left_rhs = c[c[:, :, None], c[:, None, :]]            # (x o y) o (x o z)
-    right_lhs = c[c]                                      # (x o y) o z
-    right_rhs = c[c[:, None, :], c[None, :, :]]           # (x o z) o (y o z)
+    """Both distributive laws of the core x o y = x*(y*x), as the catalog's
+    ``core_left_distributive`` and ``core_right_distributive``."""
     return DistributivityProfile(
-        left=bool((left_lhs == left_rhs).all()),
-        right=bool((right_lhs == right_rhs).all()),
+        left=holds(q, builtin("core_left_distributive")),
+        right=holds(q, builtin("core_right_distributive")),
     )
 
 

@@ -94,6 +94,4 @@ def parse_group_spec(spec: str) -> AbelianGroup:
         if k < 1:
             raise GroupSpecError(f"bad group spec {spec!r}: cyclic order must be >= 1")
         orders.append(k)
-    group = direct_product([cyclic(k) for k in orders])
-    normalized = "x".join(f"Z{k}" for k in orders)
-    return AbelianGroup(group.table, factors=group.factors, label=normalized)
+    return direct_product([cyclic(k) for k in orders])

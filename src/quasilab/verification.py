@@ -26,7 +26,7 @@ from .abelian import (
     two_torsion,
 )
 from .errors import OrderTooLarge, OutOfRange, QuasilabError
-from .identities import builtin, holds
+from .identities import _first_violation, builtin, holds
 from .quasigroup import Quasigroup
 from .search import SearchOptions, find_all
 from .tables import parse_group_spec
@@ -145,6 +145,14 @@ def run_verification(
     def exponent_2(q: Quasigroup) -> bool:
         return bool((group_of(q).neg == np.arange(q.order)).all())
 
+    @functools.cache
+    def decomposed(q: Quasigroup) -> tuple:
+        """Every autotopy of an instance, paired with its factorisation
+        through the group; T7_C1 and L1_T11 share one decomposition each."""
+        g = group_of(q)
+        return tuple((t, structure.decompose_autotopy(q, t, group=g))
+                     for t in structure.autotopies(q, max_order=max_autotopy_order))
+
     def claim(claim_id: str, anchor: str, orders: tuple[int, ...],
               fn: Callable[[], str], vacuous: bool = False) -> None:
         if vacuous:
@@ -173,7 +181,7 @@ def run_verification(
         return f"(13)-parastrophe is a bijection between eq5 and Neumann models; counts {counts}"
 
     claim("T1", "models of (x*y)*z = y*(z*x) map onto Neumann models under the (13)-parastrophe",
-          search_orders, t1)
+          search_orders, t1, vacuous=not search_orders)
 
     # T5 -- eq5 forces an abelian group
     def t5() -> str:
@@ -186,7 +194,8 @@ def run_verification(
                 total += 1
         return f"all {total} eq5 models are abelian groups (commutative, associative, two-sided unit)"
 
-    claim("T5", "every finite model of (x*y)*z = y*(z*x) is an abelian group", search_orders, t5)
+    claim("T5", "every finite model of (x*y)*z = y*(z*x) is an abelian group", search_orders, t5,
+          vacuous=not search_orders)
 
     # T6 -- subtraction representation, both directions
     def t6() -> str:
@@ -218,16 +227,13 @@ def run_verification(
             g = group_of(q)
             auts = structure.automorphisms(q, max_order=max_autotopy_order)
             group_auts = automorphism_group(g)
-            ats = structure.autotopies(q, max_order=max_autotopy_order)
+            pairs = decomposed(q)
             expect = n * n * len(group_auts)
-            assert len(ats) == expect, f"{q.label}: {len(ats)} autotopies, expected {expect}"
-            seen = set()
-            for t in ats:
-                d = structure.decompose_autotopy(q, t, group=g)
-                seen.add((d.a, d.b, d.theta.image))
-            assert len(seen) == len(ats), f"{q.label}: decomposition is not injective"
+            assert len(pairs) == expect, f"{q.label}: {len(pairs)} autotopies, expected {expect}"
+            seen = {(d.a, d.b, d.theta.image) for _, d in pairs}
+            assert len(seen) == len(pairs), f"{q.label}: decomposition is not injective"
             assert set(auts) == set(group_auts), f"{q.label}: Aut(Q,*) differs from Aut(Q,+)"
-            parts.append(f"{q.label.split()[0]}:{len(ats)}")
+            parts.append(f"{q.label.split()[0]}:{len(pairs)}")
         return "autotopy counts n^2*|Aut| with bijective decompositions: " + " ".join(parts)
 
     claim("T7_C1", "autotopies factor as (L+_a, L+_(-b), L+_(a+b)).theta; Aut(Q,*) = Aut(Q,+)",
@@ -260,38 +266,26 @@ def run_verification(
     claim("C3_2", "every loop isotope of a Neumann quasigroup is a commutative group",
           instance_orders, c3_2, vacuous=not instances)
 
-    def c3_3() -> str:
-        medial = builtin("medial")
-        for q in instances:
-            assert holds(q, medial), f"{q.label} is not medial"
-        return "medial identity holds on all instances"
+    # C3_3..C3_6 -- catalog laws, each checked on every instance
+    for claim_id, anchor, laws, passed in (
+        ("C3_3", "Neumann quasigroups are medial", ("medial",),
+         "medial identity holds on all instances"),
+        ("C3_4", "Neumann quasigroups are left Bol", ("left_bol",),
+         "left Bol law (with local right units e_x) holds on all instances"),
+        ("C3_5", "Neumann quasigroups are Moufang", ("moufang",),
+         "Moufang law (with local left units f_x) holds on all instances"),
+        ("C3_6", "the core of a Neumann quasigroup is a distributive groupoid",
+         ("core_left_distributive", "core_right_distributive"),
+         "core x o y = x*(y*x) satisfies both distributive laws"),
+    ):
+        def c3_law() -> str:  # claim() calls it before the next iteration rebinds laws
+            for q in instances:
+                for law in laws:
+                    bad = _first_violation(q, builtin(law))
+                    assert bad is None, f"{q.label}: {law} fails at {bad}"
+            return passed
 
-    claim("C3_3", "Neumann quasigroups are medial", instance_orders, c3_3, vacuous=not instances)
-
-    def c3_4() -> str:
-        for q in instances:
-            bad = structure.left_bol_counterexample(q)
-            assert bad is None, f"{q.label}: left Bol fails at {bad}"
-        return "left Bol law (with local right units e_x) holds on all instances"
-
-    claim("C3_4", "Neumann quasigroups are left Bol", instance_orders, c3_4, vacuous=not instances)
-
-    def c3_5() -> str:
-        for q in instances:
-            bad = structure.moufang_counterexample(q)
-            assert bad is None, f"{q.label}: Moufang fails at {bad}"
-        return "Moufang law (with local left units f_x) holds on all instances"
-
-    claim("C3_5", "Neumann quasigroups are Moufang", instance_orders, c3_5, vacuous=not instances)
-
-    def c3_6() -> str:
-        for q in instances:
-            d = structure.core_distributive(q)
-            assert d.left and d.right, f"{q.label}: core not distributive"
-        return "core x o y = x*(y*x) satisfies both distributive laws"
-
-    claim("C3_6", "the core of a Neumann quasigroup is a distributive groupoid",
-          instance_orders, c3_6, vacuous=not instances)
+        claim(claim_id, anchor, instance_orders, c3_law, vacuous=not instances)
 
     def c3_7() -> str:
         parts = []
@@ -316,7 +310,7 @@ def run_verification(
         return f"Schweizer and Neumann model sets coincide; counts {counts}"
 
     claim("T10", "the Schweizer identity yz*yx = xz and the Neumann identity have the same models",
-          search_orders, t10)
+          search_orders, t10, vacuous=not search_orders)
 
     # L1 + T11 -- A-pseudoautomorphism filters and GA transitivity
     def l1_t11() -> str:
@@ -325,15 +319,13 @@ def run_verification(
             if q.order < 3:
                 continue
             g = group_of(q)
-            ats = structure.autotopies(q, max_order=max_autotopy_order)
-            decos = {t.sort_key(): structure.decompose_autotopy(q, t, group=g) for t in ats}
+            pairs = decomposed(q)
             right = structure.a_pseudoautomorphisms(q, "right", max_order=max_autotopy_order)
-            minus_2b = {k for k, d in decos.items()
-                        if d.a == g.negate(g.add(d.b, d.b))}
+            minus_2b = {t.sort_key() for t, d in pairs if d.a == g.negate(g.add(d.b, d.b))}
             assert {t.sort_key() for t in right} == minus_2b, \
                 f"{q.label}: beta=gamma filter differs from a = -2b"
             left = structure.a_pseudoautomorphisms(q, "left", max_order=max_autotopy_order)
-            b_zero = {k for k, d in decos.items() if d.b == g.zero}
+            b_zero = {t.sort_key() for t, d in pairs if d.b == g.zero}
             assert {t.sort_key() for t in left} == b_zero, \
                 f"{q.label}: alpha=gamma filter differs from b = 0"
             assert structure.component_transitive(right, 3), f"{q.label}: right side not transitive"

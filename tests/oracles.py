@@ -178,6 +178,23 @@ def naive_nucleus(table, side: str) -> set[int]:
     return out
 
 
+def naive_core_distributive(table, side: str) -> bool:
+    """Does the core x o y = x*(y*x) satisfy x o (y o z) = (x o y) o (x o z)
+    (left) or (x o y) o z = (x o z) o (y o z) (right) for all x, y, z?"""
+    n = len(table)
+    core = [[table[x][table[y][x]] for y in range(n)] for x in range(n)]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if side == "left":
+                    lhs, rhs = core[x][core[y][z]], core[core[x][y]][core[x][z]]
+                else:
+                    lhs, rhs = core[core[x][y]][z], core[core[x][z]][core[y][z]]
+                if lhs != rhs:
+                    return False
+    return True
+
+
 def euler_phi(n: int) -> int:
     from math import gcd
 

@@ -71,7 +71,19 @@ def test_non_abelian_group_rejected():
     with pytest.raises(NotAbelianGroup) as exc:
         AbelianGroup(table)
     assert "commutativity" in str(exc.value)
-    assert exc.value.witness is not None
+    assert exc.value.witness == (1, 2)
+
+
+@pytest.mark.parametrize("table, axiom", [
+    ([[-1]], "entries"),
+    ([[0, 1], [1, 2]], "entries"),
+    ([[0.5]], "entries"),
+    ([[0, 1], [1]], "table shape"),
+], ids=["negative", "out-of-range", "float", "ragged"])
+def test_bad_entries_rejected(table, axiom):
+    with pytest.raises(NotAbelianGroup) as exc:
+        AbelianGroup(table)
+    assert exc.value.axiom.startswith(axiom)
 
 
 # -- isomorphism-class enumeration -------------------------------------------------

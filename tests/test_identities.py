@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from quasilab import (
     parse_term,
     subtraction_quasigroup,
 )
-from quasilab.identities import LDIV, MUL, RDIV, Identity
+from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity
 from conftest import addition_table
 from oracles import first_failure_bruteforce, holds_bruteforce
 
@@ -213,6 +215,15 @@ def test_builtin_catalog_texts():
     assert str(builtin("eq5")) == "x*y*z = y*(z*x)"
     for name in builtin_names():
         assert parse_identity(str(builtin(name))) == builtin(name)
+
+
+def test_readme_builtin_table_is_the_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Builtins:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert table[:2] == ["| name | identity |", "| --- | --- |"]
+    rows = [re.fullmatch(r"\| `(\w+)` \| `(.+)` \|", line) for line in table[2:]]
+    assert all(rows), table
+    assert [m.groups() for m in rows] == list(_CATALOG.items())
 
 
 def test_builtin_unknown():

@@ -27,6 +27,7 @@ from quasilab import (
     left_bol_counterexample,
     lp_isotope,
     moufang_counterexample,
+    nuclei,
     nucleus,
     parse_group_spec,
     pseudoautomorphisms,
@@ -44,6 +45,7 @@ from oracles import (
     naive_automorphisms,
     naive_autotopies,
     naive_canonical_form,
+    naive_core_distributive,
     naive_nucleus,
     naive_pseudoautomorphisms,
     relabel_table,
@@ -344,8 +346,10 @@ def test_nuclei(z4_sub, z5_sub, z3_add):
 def test_nucleus_matches_oracle_on_every_small_square(n):
     for rows in all_latin_squares(n):
         q = Quasigroup(rows)
+        all_sides = nuclei(q)
         for side in ("left", "middle", "right"):
             assert nucleus(q, side) == naive_nucleus(rows, side), (rows, side)
+            assert all_sides[side] == naive_nucleus(rows, side), (rows, side)
 
 
 # -- Bol, Moufang, core ---------------------------------------------------------------------
@@ -407,6 +411,19 @@ def test_core_distributive(z4_sub, z5_sub):
         assert d.left and d.right
     d1 = core_distributive(Quasigroup([[0]]))
     assert d1.left and d1.right
+
+
+def test_core_distributive_matches_oracle_on_every_small_square():
+    squares = [t for n in range(1, 5) for t in all_latin_squares(n)]
+    assert len(squares) == 591
+    left_fails = right_fails = 0
+    for table in squares:
+        d = core_distributive(Quasigroup(table))
+        assert d.left == naive_core_distributive(table, "left"), table
+        assert d.right == naive_core_distributive(table, "right"), table
+        left_fails += not d.left
+        right_fails += not d.right
+    assert (left_fails, right_fails) == (475, 532)
 
 
 # -- isomorphism -------------------------------------------------------------------------

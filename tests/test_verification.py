@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasilab import OrderTooLarge, run_verification, structure
+from quasilab import OrderTooLarge, Quasigroup, run_verification, structure, verification
 from quasilab.abelian import ENUMERATION_MAX_ORDER
 from quasilab.verification import NEUMANN_INSTANCES
 
@@ -34,6 +34,21 @@ def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
     monkeypatch.setattr(structure, "autotopies", counting)
     assert run_verification().overall
     assert len(calls) <= 2 * len(NEUMANN_INSTANCES)
+
+
+def test_default_run_decomposes_each_autotopy_once(monkeypatch):
+    # T7_C1 and L1_T11 share one decomposition per autotopy of each instance
+    calls = []
+    decompose = structure.decompose_autotopy
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "decompose_autotopy", counting)
+    assert run_verification().overall
+    # n^2 * |Aut| over Z3, Z4, Z2xZ2, Z5 and Z6
+    assert len(calls) == 18 + 32 + 96 + 100 + 72
 
 
 def test_instance_catalog():
@@ -72,6 +87,24 @@ def test_small_bounds_skip_instead_of_fail():
     assert statuses["T4"] == "skipped"          # census needs order >= 2
     assert statuses["T7_C1"] == "skipped"       # no instances fit order <= 1
     assert statuses["T1"] == "pass"
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_no_search_orders_skip_the_search_claims(max_order):
+    report = run_verification(max_order=max_order, max_autotopy_order=1, max_construction_order=1)
+    statuses = {r.claim_id: r.status for r in report.records}
+    assert [statuses[c] for c in ("T1", "T5", "T10")] == ["skipped"] * 3
+
+
+def test_law_claim_failure_names_law_and_witness(monkeypatch):
+    # with the addition table of Z3 as the instance, the core is 2x + y,
+    # which fails left distributivity first at (x, y, z) = (1, 0, 0)
+    monkeypatch.setattr(verification, "subtraction_quasigroup",
+                        lambda g: Quasigroup(g.table, label=f"{g.label} addition"))
+    report = run_verification(max_order=1, max_autotopy_order=3, max_construction_order=1)
+    c3_6 = next(r for r in report.records if r.claim_id == "C3_6")
+    assert c3_6.status == "fail"
+    assert c3_6.detail == "Z3 addition: core_left_distributive fails at (1, 0, 0)"
 
 
 def test_claim_orders_are_the_search_bound(monkeypatch):
