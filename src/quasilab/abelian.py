@@ -11,6 +11,7 @@ the isomorphism search of ``quasigroup`` on the addition table.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .identities import _first_violation, builtin
 from .permutations import Permutation
-from .quasigroup import Quasigroup, _isomorphisms
+from .quasigroup import Quasigroup, _check_cells, _isomorphisms
 
 __all__ = [
     "AbelianGroup",
@@ -132,6 +133,7 @@ def cyclic(n: int) -> AbelianGroup:
     """Z_n with addition mod n."""
     if n < 1:
         raise NotAbelianGroup(f"order must be positive, got {n}")
+    _check_cells(n, 3)   # the associativity check, before the n^2 table
     idx = np.arange(n)
     return AbelianGroup((idx[:, None] + idx[None, :]) % n, factors=(n,), label=f"Z{n}")
 
@@ -144,8 +146,8 @@ def direct_product(groups: Sequence[AbelianGroup]) -> AbelianGroup:
     if len(groups) == 1:
         return groups[0]
     sizes = tuple(g.order for g in groups)
+    _check_cells(math.prod(sizes), 3)
     coords = [c.ravel() for c in np.indices(sizes)]
-    n = int(np.prod(sizes))
     sums = [g.table[coords[i][:, None], coords[i][None, :]] for i, g in enumerate(groups)]
     table = np.ravel_multi_index(sums, sizes)
     factors = tuple(itertools.chain.from_iterable(g.factors or (g.order,) for g in groups))
@@ -213,7 +215,7 @@ def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER)
     n = g.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    return list(_isomorphisms(g.table, g.table))
+    return list(_isomorphisms(g.table)(g.table))
 
 
 def subtraction_quasigroup(g: AbelianGroup) -> Quasigroup:

@@ -15,7 +15,7 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from . import structure
-from .abelian import recover_group, subtraction_quasigroup
+from .abelian import AUTOMORPHISM_MAX_ORDER, recover_group, subtraction_quasigroup
 from .errors import QuasilabError
 from .identities import Identity, builtin, builtin_names, counterexample, holds, parse_identity
 from .quasigroup import Quasigroup
@@ -137,8 +137,9 @@ def _cmd_find(args) -> int:
 
 def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
     n = q.order
-    units = q.unit_predicates()
+    # the 4-variable laws meet the evaluation budget first, before any n^3 scan
     identities = {name: holds(q, builtin(name)) for name in builtin_names()}
+    units = q.unit_predicates()
     nuclei = structure.nuclei(q)
     report: dict = {
         "schema": 1,
@@ -158,7 +159,7 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
         "decomposition_ok": None,
     }
     atop_bound = max_order if max_order is not None else structure.AUTOTOPY_MAX_ORDER
-    auto_bound = max_order if max_order is not None else structure.AUTOMORPHISM_MAX_ORDER
+    auto_bound = max_order if max_order is not None else AUTOMORPHISM_MAX_ORDER
     if n <= auto_bound:
         report["automorphism_count"] = len(structure.automorphisms(q, max_order=auto_bound))
     if n <= atop_bound:

@@ -37,7 +37,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
-from .quasigroup import Quasigroup
+from .quasigroup import Quasigroup, _check_cells
 
 __all__ = [
     "MUL",
@@ -315,6 +315,7 @@ def _violations(q: Quasigroup, ident: Identity) -> np.ndarray:
     up (``table`` alone for a law in ``*``).
     """
     n = q.order
+    _check_cells(n, len(ident.vars))
     shape = (n,) * len(ident.vars)
     prog = ident.program
     vals = _run(prog.code, _tables(q, prog.code), np.indices(shape, sparse=True))

@@ -4,16 +4,19 @@ A quasigroup of order n is an n x n Latin square over {0..n-1}; entry
 ``table[x][y]`` is the product x*y.  Left and right division are derived
 tables, computed lazily and cached (instances are immutable, so the fill is
 idempotent and safe under concurrent use).
+
+``_labelings`` is the one search over relabelings; canonical forms,
+isomorphisms, automorphisms and autotopies all walk it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadSymbol, DegreeMismatch, NotLatin, NotSquare, OutOfRange
+from .errors import BadSymbol, DegreeMismatch, NotLatin, NotSquare, OrderTooLarge, OutOfRange
 from .permutations import Permutation
 
 __all__ = [
@@ -35,6 +38,18 @@ _PARASTROPHE_NAMES = {
 }
 
 
+# Cells one exhaustive evaluation may span: 64^4, so 4-variable laws run up
+# to order 64 (the abelian-group enumeration bound), 3-variable ones to 256.
+CELL_BUDGET = 2**24
+
+
+def _check_cells(n: int, k: int) -> None:
+    """Refuse an evaluation over n^k cells above the budget, before it allocates."""
+    if n**k > CELL_BUDGET:
+        raise OrderTooLarge(f"order {n}: a {k}-variable law spans {n}^{k} cells, "
+                            f"above the evaluation budget of {CELL_BUDGET}")
+
+
 def _table_key(table: np.ndarray) -> bytes:
     """Row-major bytes of an order-n table, in the narrowest unsigned dtype
     that holds n - 1 (one byte per cell up to order 256).  Wider cells are
@@ -44,87 +59,60 @@ def _table_key(table: np.ndarray) -> bytes:
     return table.astype(dtype).tobytes()
 
 
-def _isomorphisms(t1, t2) -> Iterator[Permutation]:
-    """Every bijection phi with phi(t1[x][y]) = t2[phi x][phi y], in
-    lexicographic order of images, for two Latin squares of one order.
-
-    Branches only on the least unmapped element.  After each branch the map
-    is closed over products of mapped elements, each ordered pair checked
-    once; a *-closed subset of a finite quasigroup is a subquasigroup, so the
-    closure forces everything the mapped elements generate and the recursion
-    is at most floor(log2 n) + 1 deep (G. L. Miller, STOC 1978).
-    """
-    a = np.asarray(t1).tolist()
-    b = np.asarray(t2).tolist()
-    n = len(a)
-    phi = [-1] * n
-    used = [False] * n
-    mapped: list[int] = []
-
-    def close(i: int) -> bool:
-        # pair each newly mapped element with itself and every earlier one
-        while i < len(mapped):
-            x = mapped[i]
-            px = phi[x]
-            for j in range(i + 1):
-                y = mapped[j]
-                py = phi[y]
-                for p, img in ((a[x][y], b[px][py]), (a[y][x], b[py][px])):
-                    q = phi[p]
-                    if q < 0:
-                        if used[img]:
-                            return False
-                        phi[p] = img
-                        used[img] = True
-                        mapped.append(p)
-                    elif q != img:
-                        return False
-            i += 1
-        return True
-
-    def extend() -> Iterator[Permutation]:
-        if len(mapped) == n:
-            yield Permutation(phi)
-            return
-        x = phi.index(-1)
-        depth = len(mapped)
-        for img in range(n):
-            if used[img]:
-                continue
-            phi[x] = img
-            used[img] = True
-            mapped.append(x)
-            if close(depth):
-                yield from extend()
-            for y in mapped[depth:]:
-                used[phi[y]] = False
-                phi[y] = -1
-            del mapped[depth:]
-
-    return extend()
-
-
-def _labelings(t) -> Iterator[tuple[int, ...]]:
-    """The table relabeled by each of its generator-sequence labelings, as
-    a flat row-major tuple.
+def _labelings(t, target=None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The generator-sequence labelings of a Latin square.
 
     Each branch gives the least unused label to one unlabeled element, then
-    closes the labeled set over products: pairs in label order as in
-    ``_isomorphisms``, x*y before y*x, each unlabeled product taking the next
-    label.  Every ordered pair is visited once on the way to a leaf, so the
-    visits fill in the whole relabeled table.  Labels depend on nothing but
-    the table and the branch choices, so isomorphic tables yield the same
-    relabeled tables, and the recursion is at most floor(log2 n) + 1 deep.
+    closes the labeled set over products: pairs in label order, x*y before
+    y*x, each unlabeled product taking the next label.  Every ordered pair
+    is visited once on the way to a leaf, filling in the relabeled table.
+    Labels depend only on the table and the branch choices, so isomorphic
+    tables yield the same relabeled tables.  A *-closed subset of a finite
+    quasigroup is a subquasigroup, so the recursion is at most
+    floor(log2 n) + 1 deep (G. L. Miller, STOC 1978).
+
+    Yields each leaf's relabeled table (flat, row-major) and its label
+    sequence (the elements in label order).  With a flat relabeled
+    ``target``, a branch stops at the first visited cell that differs from
+    it, so only the leaves that give the target are yielded.
     """
     a = np.asarray(t).tolist()
     n = len(a)
     label = [-1] * n
     order: list[int] = []
-    cells = [0] * (n * n)
+    match = target is not None
+    cells = list(target) if match else [0] * (n * n)
 
-    def extend() -> Iterator[tuple[int, ...]]:
+    def close(i: int) -> bool:
+        while i < len(order):
+            x = order[i]
+            ax = a[x]
+            for j in range(i + 1):
+                y = order[j]
+                p = ax[y]
+                lp = label[p]
+                if lp < 0:
+                    lp = label[p] = len(order)
+                    order.append(p)
+                if not match:
+                    cells[i * n + j] = lp
+                elif cells[i * n + j] != lp:
+                    return False
+                p = a[y][x]
+                lp = label[p]
+                if lp < 0:
+                    lp = label[p] = len(order)
+                    order.append(p)
+                if not match:
+                    cells[j * n + i] = lp
+                elif cells[j * n + i] != lp:
+                    return False
+            i += 1
+        return True
+
+    def extend() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if len(order) == n:
-            yield tuple(cells)
+            yield (target if match else tuple(cells)), tuple(order)
             return
         depth = len(order)
         for g in range(n):
@@ -132,29 +120,33 @@ def _labelings(t) -> Iterator[tuple[int, ...]]:
                 continue
             label[g] = depth
             order.append(g)
-            i = depth
-            while i < len(order):
-                x = order[i]
-                ax = a[x]
-                for j in range(i + 1):
-                    y = order[j]
-                    p = ax[y]
-                    if label[p] < 0:
-                        label[p] = len(order)
-                        order.append(p)
-                    cells[i * n + j] = label[p]
-                    p = a[y][x]
-                    if label[p] < 0:
-                        label[p] = len(order)
-                        order.append(p)
-                    cells[j * n + i] = label[p]
-                i += 1
-            yield from extend()
+            if close(depth):
+                yield from extend()
             for y in order[depth:]:
                 label[y] = -1
             del order[depth:]
 
     return extend()
+
+
+def _isomorphisms(t1) -> Callable[..., Iterator[Permutation]]:
+    """``_isomorphisms(t1)(t2)`` yields every bijection phi with
+    phi(t1[x][y]) = t2[phi x][phi y], in lexicographic order of images.
+
+    t1 is labeled once, by its first labeling lambda1, for any number of
+    targets; phi = lambda2^-1 . lambda1 for each labeling lambda2 of t2
+    that gives the same relabeled table.  lambda1 labels the least
+    unlabeled element at every depth, so every smaller element has its
+    image when the next one is branched on: the order is lexicographic.
+    """
+    first, source = next(_labelings(t1))
+    rank = sorted(range(len(source)), key=source.__getitem__)   # rank[x] = lambda1(x)
+
+    def onto(t2) -> Iterator[Permutation]:
+        for _, image in _labelings(t2, first):
+            yield Permutation([image[r] for r in rank])
+
+    return onto
 
 
 @dataclass(frozen=True)
@@ -378,6 +370,7 @@ class Quasigroup:
     def unit_predicates(self) -> UnitProfile:
         t = self._table
         n = self.order
+        _check_cells(n, 3)
         idx = np.arange(n)
         left_hits = np.nonzero((t == idx[None, :]).all(axis=1))[0]
         right_hits = np.nonzero((t == idx[:, None]).all(axis=0))[0]

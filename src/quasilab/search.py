@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import OrderTooLarge, QuasilabError, TooManyVariables
 from .identities import Identity, LDIV, MUL, RDIV, Program, _run, holds
-from .quasigroup import Quasigroup, _table_key
+from .quasigroup import Quasigroup, _check_cells, _table_key
 from .structure import canonical_key
 
 __all__ = [
@@ -136,6 +136,8 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
     bound = max_order if max_order is not None else default_max_order(opts.identities)
     if opts.order > bound:
         raise OrderTooLarge(f"order {opts.order} above search bound {bound}")
+    for ident in opts.identities:
+        _check_cells(opts.order, len(ident.vars))
 
     start = time.perf_counter()
     n = opts.order

@@ -1,17 +1,16 @@
 """Autotopies, pseudoautomorphisms, nuclei and structural predicates.
 
-Autotopies, automorphisms and ``isomorphic`` all come from one search,
-``quasigroup._isomorphisms``, which maps the least unmapped element and
-closes the map over products, so it branches only on the images of a
-generating set.  An autotopy (alpha, beta, gamma) is the same thing as an
-isomorphism gamma from the principal isotope P_00 onto P_ab, where P_ab is
-x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0); the enumeration runs
-that search for each of the n^2 pairs (a, b) and reads alpha and beta off
-gamma.  One-sided pseudoautomorphisms need no autotopy list: for each
-companion c they are the isomorphisms from q onto one derived Latin square,
-so each side is n runs of the same search.  ``canonical_key`` is the least
-table over the relabelings of ``quasigroup._labelings``, which likewise
-branch only on generating sequences; nothing here scans all n! permutations.
+Autotopies, automorphisms, ``isomorphic`` and ``canonical_key`` all come
+from one search, ``quasigroup._labelings``, which branches only on
+generating sequences; nothing here scans all n! permutations.
+``canonical_key`` is the least relabeled table, and an isomorphism matches
+the source's first labeling against the target's labelings.  An autotopy
+(alpha, beta, gamma) is an isomorphism gamma from the principal isotope
+P_00 onto P_ab, where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and
+b = alpha(0): the enumeration labels P_00 once, matches it against the n^2
+tables P_ab and reads alpha and beta off gamma.  One-sided
+pseudoautomorphisms are, for each companion c, the isomorphisms from q
+onto one derived Latin square, so each side labels q once for n targets.
 Nuclei are read off the failures of the catalog's associative law, and the
 Bol, Moufang and core-distributive checks are catalog laws too.
 """
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abelian import AbelianGroup, recover_group
+from .abelian import AUTOMORPHISM_MAX_ORDER, AbelianGroup, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .identities import _first_violation, _violations, builtin, holds
 from .permutations import Permutation, orbit
@@ -60,7 +59,6 @@ __all__ = [
 ]
 
 AUTOTOPY_MAX_ORDER = 7
-AUTOMORPHISM_MAX_ORDER = 8
 CANONICAL_MAX_ORDER = 16
 
 
@@ -124,12 +122,12 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
     rdiv = q.rdiv_table
     col0 = tab[:, 0]
     row0 = tab[0]
-    p00 = tab[np.ix_(rdiv[:, 0], ldiv[0])]
+    onto = _isomorphisms(tab[np.ix_(rdiv[:, 0], ldiv[0])])
     found: list[Autotopy] = []
     for a in range(n):
         for b in range(n):
             # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
-            for gamma in _isomorphisms(p00, tab[np.ix_(rdiv[:, a], ldiv[b])]):
+            for gamma in onto(tab[np.ix_(rdiv[:, a], ldiv[b])]):
                 alpha = rdiv[gamma.array[col0], a]
                 beta = ldiv[b, gamma.array[row0]]
                 found.append(Autotopy(Permutation(alpha), Permutation(beta), gamma))
@@ -140,7 +138,7 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
     _check_order(q, max_order, "automorphism")
-    return list(_isomorphisms(q.table, q.table))
+    return list(_isomorphisms(q.table)(q.table))
 
 
 @dataclass(frozen=True)
@@ -210,19 +208,20 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     (theta, R_c.theta, R_c.theta) is an autotopy iff theta is an isomorphism
     from q onto x o y = (x*(y*c))/c, and (L_c.theta, theta, L_c.theta) is one
     iff theta is an isomorphism from q onto x o y = c\\((c*x)*y).  Both are
-    Latin squares, so each side is one ``_isomorphisms`` search per c.
+    Latin squares, so each side labels q once and matches it against the n
+    derived squares.
     """
     _check_side(side)
     _check_order(q, max_order, "autotopy")
     tab = q.table
+    onto = _isomorphisms(tab)
     found = []
     for c in range(q.order):
         if side == "right":
             target = q.rdiv_table[tab[:, tab[:, c]], c]
         else:
             target = q.ldiv_table[c][tab[tab[c]]]
-        found.extend(PseudoautomorphismWitness(theta, c, side)
-                     for theta in _isomorphisms(tab, target))
+        found.extend(PseudoautomorphismWitness(theta, c, side) for theta in onto(target))
     found.sort(key=lambda w: (w.theta.image, w.companion))
     return found
 
@@ -348,7 +347,7 @@ def isomorphic(q1: Quasigroup, q2: Quasigroup) -> Optional[Permutation]:
     """
     if q1.order != q2.order:
         raise OrderMismatch(f"orders differ: {q1.order} vs {q2.order}")
-    return next(_isomorphisms(q1.table, q2.table), None)
+    return next(_isomorphisms(q1.table)(q2.table), None)
 
 
 def relabel(q: Quasigroup, perm: Permutation) -> Quasigroup:
@@ -369,7 +368,7 @@ def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
     n = q.order
     _check_order(q, max_order, "canonical-form")
     # tuple order is the byte order of _table_key, so only the least is keyed
-    return _table_key(np.reshape(min(_labelings(q.table)), (n, n)))
+    return _table_key(np.reshape(min(_labelings(q.table))[0], (n, n)))
 
 
 def lp_isotope(q: Quasigroup, a: int, b: int) -> Quasigroup:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_cyclic_automorphisms_are_totient(n):
 def test_automorphism_bound():
     with pytest.raises(OrderTooLarge):
         automorphism_group(cyclic(17))
+
+
+def test_group_constructions_refuse_before_allocating():
+    # the associativity check of an order-n group spans n^3 cells, so the
+    # evaluation budget of 2^24 admits groups up to order 256
+    factors = [cyclic(17), cyclic(16)]
+    tracemalloc.start()
+    try:
+        for build in (lambda: cyclic(10**9), lambda: cyclic(257),
+                      lambda: direct_product(factors)):
+            with pytest.raises(OrderTooLarge, match="budget"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert direct_product([cyclic(16), cyclic(16)]).order == 256
 
 
 # -- subtraction quasigroups and recovery ----------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasilab import cyclic, format_table, parse_table_text, subtraction_quasigroup
+from quasilab import cyclic, format_table, parse_group_spec, parse_table_text, subtraction_quasigroup
 from quasilab.cli import main
 from conftest import addition_table
 from quasilab import Quasigroup
@@ -150,6 +150,26 @@ def test_analyze_z5_addition(tmp_path, capsys):
     assert report["decomposition_ok"] is None
 
 
+def test_analyze_counts_automorphisms_up_to_order_16(tmp_path, capsys):
+    path = tmp_path / "z3z3_sub.tbl"
+    path.write_text(format_table(subtraction_quasigroup(parse_group_spec("Z3xZ3"))))
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["automorphism_count"] == 48        # |GL(2, 3)|
+    assert report["autotopy_count"] is None          # above the autotopy bound 7
+
+
+def test_analyze_and_check_above_the_evaluation_budget_exit_2(tmp_path, capsys):
+    path = tmp_path / "z65_add.tbl"
+    path.write_text(format_table(Quasigroup(addition_table(65))))
+    for argv in (["analyze", str(path)], ["check", str(path), "--identity", "medial"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "budget" in captured.err
+    assert main(["check", str(path), "--identity", "associative"]) == 0
+
+
 def test_analyze_order_one(tmp_path, capsys):
     path = tmp_path / "one.tbl"
     path.write_text("order 1\n0\n")
@@ -177,6 +197,14 @@ def test_construct_klein_subtraction_equals_addition(capsys):
     assert main(["construct", "--group", "z2Xz2"]) == 0
     add = parse_table_text(capsys.readouterr().out)
     assert sub == add
+
+
+@pytest.mark.parametrize("spec", ["Z3000", "Z257", "Z16xZ17"])
+def test_construct_above_the_evaluation_budget_exits_2(spec, capsys):
+    assert main(["construct", "--group", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "budget" in captured.err
 
 
 def test_construct_bad_spec(capsys):
@@ -212,6 +240,17 @@ def test_verify_paper_max_order_one_passes_or_skips(capsys):
     assert code == 0
     assert "fail" not in out.split("overall")[0]
     assert "skipped" in out
+
+
+def test_verify_paper_with_nothing_to_test_skips_every_claim(capsys):
+    code = main([
+        "--max-order", "0",
+        "verify-paper", "--max-autotopy-order", "1", "--max-construction-order", "0",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[2].split()[:2] == ["T6", "skipped"]
+    assert out.splitlines()[-1] == "overall: PASS (15 claims, 0 failed, 15 skipped)"
 
 
 def test_verify_paper_mutation_hook_fails(capsys):

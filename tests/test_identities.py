@@ -10,6 +10,7 @@ from quasilab import (
     BinOp,
     EmptySide,
     MissingEquals,
+    OrderTooLarge,
     OutOfRange,
     ParseError,
     Quasigroup,
@@ -27,6 +28,7 @@ from quasilab import (
     parse_term,
     subtraction_quasigroup,
 )
+from quasilab import abelian, quasigroup, search, structure
 from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity
 from conftest import addition_table
 from oracles import first_failure_bruteforce, holds_bruteforce
@@ -205,6 +207,22 @@ def test_holds_memory_stays_below_three_full_grids():
     assert peak < 3 * n**4 * 8
 
 
+def test_evaluation_budget_refuses_before_allocating():
+    # 65^4 cells is above the budget of 64^4; 65^3 is within it
+    q = Quasigroup(addition_table(65))
+    medial = builtin("medial")
+    tracemalloc.start()
+    try:
+        for check in (holds, counterexample):
+            with pytest.raises(OrderTooLarge, match="budget"):
+                check(q, medial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert holds(q, builtin("associative"))
+
+
 # -- builtins -------------------------------------------------------------------------
 
 
@@ -224,6 +242,39 @@ def test_readme_builtin_table_is_the_catalog():
     rows = [re.fullmatch(r"\| `(\w+)` \| `(.+)` \|", line) for line in table[2:]]
     assert all(rows), table
     assert [m.groups() for m in rows] == list(_CATALOG.items())
+
+
+def _root(budget: int, k: int) -> int:
+    """The largest order n with n^k cells within the budget."""
+    n = round(budget ** (1 / k))
+    return n if n**k <= budget else n - 1
+
+
+def test_readme_bounds_are_the_constants():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = " ".join(readme.split("## Bounds\n\n", 1)[1].split("\n\n", 1)[0].split())
+    budget = quasigroup.CELL_BUDGET
+    claims = [
+        (r"model search (\d+) / (\d+) ", (search.DEFAULT_MAX_ORDER, search.DEFAULT_MAX_ORDER_4VAR)),
+        (r"autotopy enumeration (\d+),", (structure.AUTOTOPY_MAX_ORDER,)),
+        (r"automorphisms (\d+) ", (abelian.AUTOMORPHISM_MAX_ORDER,)),
+        (r"canonical form (\d+),", (structure.CANONICAL_MAX_ORDER,)),
+        (r"abelian-group enumeration (\d+)\.", (abelian.ENUMERATION_MAX_ORDER,)),
+        (r"budget of 2\^(\d+) = (\d+) cells", (budget.bit_length() - 1, budget)),
+        (r"(\d)-variable laws up to order (\d+)", (4, _root(budget, 4))),
+        (r"(\d)-variable laws up to order (\d+)", (3, _root(budget, 3))),
+        (r"refuse a group above order (\d+),", (_root(budget, 3),)),
+        (r"exit (\d) above the budget", (2,)),
+        (r"exits (\d) above order (\d+)\.", (2, _root(budget, 4))),
+    ]
+    for pattern, values in claims:
+        m = re.search(pattern, text)
+        assert m, pattern
+        assert tuple(int(g) for g in m.groups()) == values, m.group()
+        text = text[:m.start()] + text[m.end():]
+    assert 2**(budget.bit_length() - 1) == budget
+    # every number in the paragraph is one of the claims above
+    assert not re.search(r"\d", text), text
 
 
 def test_builtin_unknown():

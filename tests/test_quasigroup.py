@@ -9,6 +9,7 @@ from quasilab import (
     BadSymbol,
     NotLatin,
     NotSquare,
+    OrderTooLarge,
     OutOfRange,
     ParastropheSelector,
     Permutation,
@@ -228,6 +229,12 @@ def test_unit_profile_z3_addition(z3_add):
     u = z3_add.unit_predicates()
     assert u.left_unit == u.right_unit == 0
     assert u.is_loop and u.is_associative
+
+
+def test_unit_profile_is_held_to_the_evaluation_budget():
+    # its associativity scan spans n^3 cells, above 2^24 at order 257
+    with pytest.raises(OrderTooLarge, match="budget"):
+        Quasigroup(addition_table(257)).unit_predicates()
 
 
 # -- property tests over random isotopes ----------------------------------------------

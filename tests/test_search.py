@@ -182,6 +182,12 @@ def test_four_variable_identity_bound():
         find_all(SearchOptions(order=6, identities=(builtin("medial"),)))
 
 
+def test_search_grid_is_held_to_the_evaluation_budget():
+    # the flattened grid of a 3-variable law at order 257 is above 2^24 cells
+    with pytest.raises(OrderTooLarge, match="budget"):
+        find_all(SearchOptions(order=257, identities=(builtin("associative"),)), max_order=257)
+
+
 def test_too_many_variables():
     five = parse_identity("((a*b)*(c*d))*e = e*((a*b)*(c*d))")
     with pytest.raises(TooManyVariables):

@@ -20,6 +20,7 @@ from quasilab import (
     component_transitive,
     core_distributive,
     decompose_autotopy,
+    enumerate_abelian_groups,
     is_autotopy,
     is_g,
     is_ga,
@@ -35,7 +36,7 @@ from quasilab import (
     relabel,
     subtraction_quasigroup,
 )
-from quasilab import structure
+from quasilab import quasigroup, structure
 from quasilab.cli import _analyze_report
 from oracles import (
     all_latin_squares,
@@ -140,6 +141,74 @@ def test_automorphism_counts(z5_sub, z22_sub):
     assert len(automorphisms(z5_sub)) == 4
     assert len(automorphisms(z22_sub)) == 6
     assert len(automorphisms(Quasigroup([[0]]))) == 1
+
+
+def test_automorphisms_share_the_group_automorphism_bound():
+    # T7: Aut(Q,*) = Aut(Q,+) for x*y = x - y, here at order 16
+    g = parse_group_spec("Z4xZ4")
+    auts = automorphisms(subtraction_quasigroup(g))
+    assert len(auts) == 96
+    assert auts == automorphism_group(g)
+    with pytest.raises(OrderTooLarge):
+        automorphisms(subtraction_quasigroup(parse_group_spec("Z17")))
+
+
+def _tables_of_orders_5_to_8() -> list[tuple[str, list[list[int]]]]:
+    """The group and subtraction tables of every abelian group of order 5-8,
+    and a seeded isotope of each subtraction table of order 5-7."""
+    rng = random.Random(58)
+    out = []
+    for n in range(5, 9):
+        for g in enumerate_abelian_groups(n):
+            sub = subtraction_quasigroup(g)
+            out += [(f"{g.label}+", g.table.tolist()), (f"{g.label}-", sub.to_lists())]
+            if n <= 7:
+                iso = sub.isotope(*(Permutation(rng.sample(range(n), n)) for _ in range(3)))
+                out.append((f"{g.label}-isotope", iso.to_lists()))
+    return out
+
+
+TABLES_5_TO_8 = _tables_of_orders_5_to_8()
+
+
+@pytest.mark.parametrize("name, table", TABLES_5_TO_8, ids=[name for name, _ in TABLES_5_TO_8])
+def test_automorphisms_match_naive_scan_at_orders_5_to_8(name, table):
+    assert [p.image for p in automorphisms(Quasigroup(table))] == naive_automorphisms(table)
+
+
+@pytest.mark.parametrize("name, table", TABLES_5_TO_8, ids=[name for name, _ in TABLES_5_TO_8])
+def test_isomorphic_returns_the_lexicographically_first_map_at_orders_5_to_8(name, table):
+    # onto a seeded relabeling of the table itself and of every other table
+    # of its order, isomorphic or not
+    rng = random.Random(name)
+    n = len(table)
+    for _, other in (entry for entry in TABLES_5_TO_8 if len(entry[1]) == n):
+        other = relabel_table(other, rng.sample(range(n), n))
+        found = isomorphic(Quasigroup(table), Quasigroup(other))
+        assert (found.image if found else None) == first_isomorphism(table, other), other
+
+
+def test_isomorphism_searches_label_the_source_once(monkeypatch):
+    # one labeling of each target, and one of the source for all of them
+    calls = []
+    labelings = quasigroup._labelings
+
+    def counted(t, target=None):
+        calls.append(target is None)
+        return labelings(t, target)
+
+    monkeypatch.setattr(quasigroup, "_labelings", counted)
+    rng = random.Random(6)
+    q = subtraction_quasigroup(parse_group_spec("Z6"))
+    q = q.isotope(*(Permutation(rng.sample(range(6), 6)) for _ in range(3)))
+    for side in ("left", "right"):
+        calls.clear()
+        pseudoautomorphisms(q, side)
+        assert sorted(calls) == [False] * 6 + [True]
+    structure._autotopy_group.cache_clear()
+    calls.clear()
+    assert len(autotopies(q)) == 36 * 2
+    assert sorted(calls) == [False] * 36 + [True]
 
 
 # -- decomposition -----------------------------------------------------------------------

@@ -96,6 +96,17 @@ def test_no_search_orders_skip_the_search_claims(max_order):
     assert [statuses[c] for c in ("T1", "T5", "T10")] == ["skipped"] * 3
 
 
+def test_t6_is_skipped_only_when_it_has_nothing_to_test():
+    report = run_verification(max_order=0, max_autotopy_order=1, max_construction_order=0)
+    t6 = next(r for r in report.records if r.claim_id == "T6")
+    assert (t6.status, t6.orders_tested) == ("skipped", ())
+    # Neumann models alone, or constructed tables alone, are something to test
+    for max_order, construction in ((1, 0), (0, 1)):
+        report = run_verification(max_order=max_order, max_autotopy_order=1,
+                                  max_construction_order=construction)
+        assert next(r for r in report.records if r.claim_id == "T6").status == "pass"
+
+
 def test_law_claim_failure_names_law_and_witness(monkeypatch):
     # with the addition table of Z3 as the instance, the core is 2x + y,
     # which fails left distributivity first at (x, y, z) = (1, 0, 0)
