@@ -75,6 +75,7 @@ from .structure import (
     GProfile,
     PseudoautomorphismWitness,
     a_pseudoautomorphisms,
+    automorphism_count,
     automorphisms,
     autotopies,
     canonical_key,

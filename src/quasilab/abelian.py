@@ -4,8 +4,10 @@ The central constructions: ``subtraction_quasigroup`` builds x*y = x - y over
 a group, and ``recover_group`` inverts it, extracting the unique abelian group
 hiding inside any quasigroup of that shape (the addition is rebuilt as
 x + y := x*(e*y) where e is the right unit, and every group axiom plus the
-x - y representation is verified explicitly).  ``automorphism_group`` runs
-the isomorphism search of ``quasigroup`` on the addition table.
+x - y representation is verified explicitly).  ``automorphism_group`` reads
+the group off the stabilizer chain that ``quasigroup`` builds for the
+addition table: a few first-match searches, one per base point and image,
+whose transversals multiply out to the whole group.
 """
 
 from __future__ import annotations
@@ -209,8 +211,9 @@ def enumerate_abelian_groups(n: int, max_order: int = ENUMERATION_MAX_ORDER) -> 
 def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All bijections preserving addition (so fixing zero), sorted by image.
 
-    Each automorphism is fixed by the images of a generating set; the shared
-    isomorphism search branches on those and closes the map over sums.
+    Each automorphism is fixed by the images of a generating set, the base
+    of the stabilizer chain that the shared isomorphism search builds; the
+    identity comes first and the rest follow in the chain's sorted order.
     """
     n = g.order
     if n > max_order:

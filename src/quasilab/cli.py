@@ -161,7 +161,7 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
     atop_bound = max_order if max_order is not None else structure.AUTOTOPY_MAX_ORDER
     auto_bound = max_order if max_order is not None else AUTOMORPHISM_MAX_ORDER
     if n <= auto_bound:
-        report["automorphism_count"] = len(structure.automorphisms(q, max_order=auto_bound))
+        report["automorphism_count"] = structure.automorphism_count(q, max_order=auto_bound)
     if n <= atop_bound:
         ats = structure.autotopies(q, max_order=atop_bound)
         report["autotopy_count"] = len(ats)

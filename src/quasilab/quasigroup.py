@@ -6,7 +6,11 @@ tables, computed lazily and cached (instances are immutable, so the fill is
 idempotent and safe under concurrent use).
 
 ``_labelings`` is the one search over relabelings; canonical forms,
-isomorphisms, automorphisms and autotopies all walk it.
+isomorphisms, automorphisms and autotopies all walk it.  An automorphism
+group is built once per source as a stabilizer chain over the branch
+choices of its first labeling (``_automorphism_images``), from at most
+(floor(log2 n) + 1) * n first-match searches, so every set of isomorphisms
+is one match gamma0 composed with each automorphism of the source.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ def _check_cells(n: int, k: int) -> None:
                             f"above the evaluation budget of {CELL_BUDGET}")
 
 
+def _check_degree(n: int, *perms: Permutation) -> None:
+    """Refuse permutations whose degree is not the order n."""
+    for p in perms:
+        if p.degree != n:
+            raise DegreeMismatch(f"permutation degree {p.degree} != order {n}")
+
+
 def _table_key(table: np.ndarray) -> bytes:
     """Row-major bytes of an order-n table, in the narrowest unsigned dtype
     that holds n - 1 (one byte per cell up to order 256).  Wider cells are
@@ -59,7 +70,8 @@ def _table_key(table: np.ndarray) -> bytes:
     return table.astype(dtype).tobytes()
 
 
-def _labelings(t, target=None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _labelings(t, target=None, prefix: Sequence[int] = ()
+               ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The generator-sequence labelings of a Latin square.
 
     Each branch gives the least unused label to one unlabeled element, then
@@ -74,7 +86,8 @@ def _labelings(t, target=None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
     Yields each leaf's relabeled table (flat, row-major) and its label
     sequence (the elements in label order).  With a flat relabeled
     ``target``, a branch stops at the first visited cell that differs from
-    it, so only the leaves that give the target are yielded.
+    it, so only the leaves that give the target are yielded.  The first
+    ``len(prefix)`` branches take the given elements instead of trying each.
     """
     a = np.asarray(t).tolist()
     n = len(a)
@@ -110,41 +123,96 @@ def _labelings(t, target=None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
             i += 1
         return True
 
-    def extend() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def extend(level: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if len(order) == n:
             yield (target if match else tuple(cells)), tuple(order)
             return
         depth = len(order)
-        for g in range(n):
+        for g in (prefix[level],) if level < len(prefix) else range(n):
             if label[g] >= 0:
                 continue
             label[g] = depth
             order.append(g)
             if close(depth):
-                yield from extend()
+                yield from extend(level + 1)
             for y in order[depth:]:
                 label[y] = -1
             del order[depth:]
 
-    return extend()
+    return extend(0)
+
+
+def _automorphism_images(t, labeling) -> np.ndarray:
+    """Aut(t) as a sorted (|Aut|, n) array of images, identity first, in the
+    narrowest unsigned dtype that holds n - 1.
+
+    ``labeling`` is t's first labeling lambda1, as ``_labelings`` yields it.
+    Its branch choices b1..bk are a base: an automorphism fixing them fixes
+    the closure, which is everything.  For each level i and each h other
+    than bi outside the closure of b1..b(i-1), one first-match search with
+    the forced prefix (b1..b(i-1), h) finds a transversal element u(i, h),
+    which fixes b1..b(i-1) and sends bi to h, or proves that none exists
+    (C. C. Sims, 1970).  Every automorphism is
+    uniquely u(1, .) . ... . u(k, .), so the array is the product of the
+    transversals: at most k * n searches instead of one leaf per element.
+    """
+    first, source = labeling
+    n = len(source)
+    # a closure gives each label it assigns to a product of smaller labels,
+    # so the branch depths are the labels no such product takes
+    depths = []
+    products: set[int] = set()
+    for d in range(n):
+        if d not in products:
+            depths.append(d)
+        products.update(first[d * n:d * n + d + 1], first[d:d * n:n])   # row d, column d
+    base = [source[d] for d in depths]
+    rank = sorted(range(n), key=source.__getitem__)   # rank[x] = lambda1(x)
+    dtype = np.min_scalar_type(n - 1)
+    images = np.arange(n, dtype=dtype)[None, :]
+    for i in reversed(range(len(base))):
+        level = [list(range(n))]      # u(i, bi) is the identity
+        # b1..b(i-1) close over source[:depths[i]], which u(i, .) fixes
+        for h in source[depths[i] + 1:]:
+            match = next(_labelings(t, first, base[:i] + [h]), None)
+            if match is not None:
+                level.append([match[1][r] for r in rank])
+        # (u . w)(x) = u(w(x)) for every u on this level and w below it
+        images = np.asarray(level, dtype=dtype)[:, images].reshape(-1, n)
+    return images[np.lexsort(images.T[::-1])]
 
 
 def _isomorphisms(t1) -> Callable[..., Iterator[Permutation]]:
     """``_isomorphisms(t1)(t2)`` yields every bijection phi with
-    phi(t1[x][y]) = t2[phi x][phi y], in lexicographic order of images.
+    phi(t1[x][y]) = t2[phi x][phi y]: first gamma0, the lexicographically
+    least, then gamma0 . alpha for every other automorphism alpha of t1, in
+    lexicographic order of alpha.  Callers that need sorted output sort it.
 
     t1 is labeled once, by its first labeling lambda1, for any number of
-    targets; phi = lambda2^-1 . lambda1 for each labeling lambda2 of t2
-    that gives the same relabeled table.  lambda1 labels the least
+    targets; gamma0 = lambda2^-1 . lambda1 for the first labeling lambda2
+    of t2 that gives the same relabeled table.  lambda1 labels the least
     unlabeled element at every depth, so every smaller element has its
-    image when the next one is branched on: the order is lexicographic.
+    image when the next one is branched on, and the first match is the
+    least.  Aut(t1) is built once, when the first target matches
+    (``_automorphism_images``), so a target without an isomorphism costs
+    one search and ``next`` on the iterator never builds it.
     """
-    first, source = next(_labelings(t1))
+    labeling = next(_labelings(t1))
+    first, source = labeling
     rank = sorted(range(len(source)), key=source.__getitem__)   # rank[x] = lambda1(x)
+    auts = None
 
     def onto(t2) -> Iterator[Permutation]:
-        for _, image in _labelings(t2, first):
-            yield Permutation([image[r] for r in rank])
+        nonlocal auts
+        match = next(_labelings(t2, first), None)
+        if match is None:
+            return
+        gamma0 = [match[1][r] for r in rank]
+        yield Permutation(gamma0)
+        if auts is None:
+            auts = _automorphism_images(t1, labeling)
+        for alpha in auts[1:]:
+            yield Permutation([gamma0[x] for x in alpha.tolist()])
 
     return onto
 
@@ -357,10 +425,7 @@ class Quasigroup:
 
     def isotope(self, alpha: Permutation, beta: Permutation, gamma: Permutation) -> "Quasigroup":
         """Quasigroup o with gamma(x o y) = alpha(x) * beta(y)."""
-        n = self.order
-        for p in (alpha, beta, gamma):
-            if p.degree != n:
-                raise DegreeMismatch(f"permutation degree {p.degree} != order {n}")
+        _check_degree(self.order, alpha, beta, gamma)
         ginv = gamma.inverse().array
         new = ginv[self._table[np.ix_(alpha.array, beta.array)]]
         return Quasigroup(new)

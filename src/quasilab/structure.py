@@ -3,14 +3,18 @@
 Autotopies, automorphisms, ``isomorphic`` and ``canonical_key`` all come
 from one search, ``quasigroup._labelings``, which branches only on
 generating sequences; nothing here scans all n! permutations.
-``canonical_key`` is the least relabeled table, and an isomorphism matches
-the source's first labeling against the target's labelings.  An autotopy
+``canonical_key`` is the least relabeled table.  The isomorphisms onto a
+target are the first match gamma0 of the source's first labeling against
+the target's labelings, composed with each automorphism of the source,
+which is built once per source from a stabilizer chain; ``automorphism_count``
+reads |Aut| off that chain without listing the group.  An autotopy
 (alpha, beta, gamma) is an isomorphism gamma from the principal isotope
 P_00 onto P_ab, where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and
 b = alpha(0): the enumeration labels P_00 once, matches it against the n^2
-tables P_ab and reads alpha and beta off gamma.  One-sided
-pseudoautomorphisms are, for each companion c, the isomorphisms from q
-onto one derived Latin square, so each side labels q once for n targets.
+tables P_ab, shares one Aut(P_00) among them and reads alpha and beta off
+gamma.  One-sided pseudoautomorphisms are, for each companion c, the
+isomorphisms from q onto one derived Latin square, so each side labels q
+once and builds Aut(q) at most once for n targets.
 Nuclei are read off the failures of the catalog's associative law, and the
 Bol, Moufang and core-distributive checks are catalog laws too.
 """
@@ -27,7 +31,14 @@ from .abelian import AUTOMORPHISM_MAX_ORDER, AbelianGroup, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .identities import _first_violation, _violations, builtin, holds
 from .permutations import Permutation, orbit
-from .quasigroup import Quasigroup, _isomorphisms, _labelings, _table_key
+from .quasigroup import (
+    Quasigroup,
+    _automorphism_images,
+    _check_degree,
+    _isomorphisms,
+    _labelings,
+    _table_key,
+)
 
 __all__ = [
     "Autotopy",
@@ -39,6 +50,7 @@ __all__ = [
     "is_autotopy",
     "autotopies",
     "automorphisms",
+    "automorphism_count",
     "decompose_autotopy",
     "pseudoautomorphisms",
     "a_pseudoautomorphisms",
@@ -92,6 +104,7 @@ class Autotopy:
 
 
 def is_autotopy(q: Quasigroup, t: Autotopy) -> bool:
+    _check_degree(q.order, t.alpha, t.beta, t.gamma)
     tab = q.table
     lhs = t.gamma.array[tab]
     rhs = tab[np.ix_(t.alpha.array, t.beta.array)]
@@ -141,6 +154,12 @@ def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> lis
     return list(_isomorphisms(q.table)(q.table))
 
 
+def automorphism_count(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> int:
+    """|Aut(q)|, read off the stabilizer chain without listing the group."""
+    _check_order(q, max_order, "automorphism")
+    return len(_automorphism_images(q.table, next(_labelings(q.table))))
+
+
 @dataclass(frozen=True)
 class AutotopyDecomposition:
     """Factorisation (alpha, beta, gamma) = (L+_a, L+_(-b), L+_(a+b)) . theta
@@ -158,8 +177,10 @@ def decompose_autotopy(q: Quasigroup, t: Autotopy,
     ``a`` is read off as alpha(0), ``b`` as -beta(0) (0 meaning the group
     zero); theta is the remaining map, verified to be an automorphism and to
     reproduce all three components.  Raises :class:`NotDecomposable` if any
-    verification fails, which would contradict the structure theory.
+    verification fails, which would contradict the structure theory, and
+    :class:`DegreeMismatch` if a component's degree is not the order of q.
     """
+    _check_degree(q.order, t.alpha, t.beta, t.gamma)
     g = group if group is not None else recover_group(q)
     add = g.table
     zero = g.zero

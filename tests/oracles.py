@@ -201,6 +201,36 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def abelian_automorphism_count(factors) -> int:
+    """|Aut(Z_m1 x ... x Z_mk)| by the formula of C. J. Hillar and D. L. Rhea
+    (Amer. Math. Monthly 114, 2007), one Sylow p-subgroup at a time.
+
+    For Z_(p^e1) x ... x Z_(p^em) with e1 <= ... <= em, let d_k be the last
+    and c_k the first position holding the exponent e_k; the p-part is
+    prod_k (p^d_k - p^(k-1)) * (p^e_k)^(m - d_k) * (p^(e_k - 1))^(m - c_k + 1).
+    """
+    exponents: dict[int, list[int]] = {}
+    for m in factors:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    total = 1
+    for p, es in exponents.items():
+        es.sort()
+        m = len(es)
+        for k, e in enumerate(es, start=1):
+            d = m - es[::-1].index(e)     # last position holding e
+            c = es.index(e) + 1           # first position holding e
+            total *= (p**d - p ** (k - 1)) * p ** (e * (m - d)) * p ** ((e - 1) * (m - c + 1))
+    return total
+
+
 def is_abelian_group_table(table) -> bool:
     n = len(table)
     units = [

@@ -26,7 +26,7 @@ from quasilab import (
     subtraction_quasigroup,
     two_torsion,
 )
-from oracles import euler_phi, is_abelian_group_table
+from oracles import abelian_automorphism_count, euler_phi, is_abelian_group_table
 
 
 # -- constructions ---------------------------------------------------------------
@@ -158,6 +158,30 @@ def test_automorphism_counts():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cyclic_automorphisms_are_totient(n):
     assert len(automorphism_group(cyclic(n))) == euler_phi(n)
+
+
+ABELIAN_UP_TO_16 = [g for n in range(1, 17) for g in enumerate_abelian_groups(n)]
+
+
+def test_there_are_25_abelian_groups_up_to_order_16():
+    assert len(ABELIAN_UP_TO_16) == 25
+
+
+@pytest.mark.parametrize("g", ABELIAN_UP_TO_16, ids=lambda g: g.label)
+def test_automorphism_group_of_a_relabeled_group_matches_hillar_rhea(g):
+    n = g.order
+    perm = np.random.default_rng(n).permutation(n)
+    inv = np.argsort(perm)
+    table = perm[g.table[np.ix_(inv, inv)]]
+    auts = automorphism_group(AbelianGroup(table))
+    assert len(auts) == abelian_automorphism_count(g.factors)
+    imgs = [p.image for p in auts]
+    assert all(a < b for a, b in zip(imgs, imgs[1:]))      # sorted, so distinct
+    rows = np.array(imgs, dtype=np.int64).reshape(len(imgs), n)
+    assert (np.sort(rows, axis=1) == np.arange(n)).all()
+    for start in range(0, len(rows), 1024):
+        th = rows[start:start + 1024]
+        assert (th[:, table] == table[th[:, :, None], th[:, None, :]]).all()
 
 
 def test_automorphism_bound():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quasilab import cyclic, format_table, parse_group_spec, parse_table_text, subtraction_quasigroup
+from quasilab import structure
 from quasilab.cli import main
 from conftest import addition_table
 from quasilab import Quasigroup
@@ -157,6 +158,19 @@ def test_analyze_counts_automorphisms_up_to_order_16(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["automorphism_count"] == 48        # |GL(2, 3)|
     assert report["autotopy_count"] is None          # above the autotopy bound 7
+
+
+@pytest.mark.parametrize("spec, count", [("Z2xZ2xZ2xZ2", 20160), ("Z4xZ4", 96), ("Z2xZ8", 16)])
+def test_analyze_counts_automorphisms_without_listing_them(spec, count, tmp_path, capsys,
+                                                            monkeypatch):
+    def listed(*args, **kwargs):
+        raise AssertionError("analyze listed the automorphisms")
+
+    monkeypatch.setattr(structure, "automorphisms", listed)
+    path = tmp_path / "sub.tbl"
+    path.write_text(format_table(subtraction_quasigroup(parse_group_spec(spec))))
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["automorphism_count"] == count
 
 
 def test_analyze_and_check_above_the_evaluation_budget_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from quasilab import (
     Autotopy,
+    DegreeMismatch,
     EmptyList,
     OrderMismatch,
     OrderTooLarge,
@@ -189,29 +190,62 @@ def test_isomorphic_returns_the_lexicographically_first_map_at_orders_5_to_8(nam
 
 
 def test_isomorphism_searches_label_the_source_once(monkeypatch):
-    # one labeling of each target, and one of the source for all of them
+    # one labeling of the source and one search of each target; the
+    # automorphism group of the source, built once, takes at most
+    # (floor(log2 n) + 1) * n prefix searches
     calls = []
     labelings = quasigroup._labelings
 
-    def counted(t, target=None):
-        calls.append(target is None)
-        return labelings(t, target)
+    def counted(t, target=None, prefix=()):
+        calls.append("source" if target is None else "prefix" if prefix else "target")
+        return labelings(t, target, prefix)
 
     monkeypatch.setattr(quasigroup, "_labelings", counted)
     rng = random.Random(6)
-    q = subtraction_quasigroup(parse_group_spec("Z6"))
-    q = q.isotope(*(Permutation(rng.sample(range(6), 6)) for _ in range(3)))
-    for side in ("left", "right"):
-        calls.clear()
-        pseudoautomorphisms(q, side)
-        assert sorted(calls) == [False] * 6 + [True]
+    sub = subtraction_quasigroup(parse_group_spec("Z6"))
+    q = sub.isotope(*(Permutation(rng.sample(range(6), 6)) for _ in range(3)))
+    for table in (sub, q):
+        for side in ("left", "right"):
+            calls.clear()
+            pseudoautomorphisms(table, side)
+            assert calls.count("source") == 1
+            assert calls.count("target") == 6
+            assert calls.count("prefix") <= 3 * 6
+    calls.clear()
+    assert len(pseudoautomorphisms(sub, "right")) == 12   # all 6 companions match
+    assert 0 < calls.count("prefix") <= 3 * 6
     structure._autotopy_group.cache_clear()
     calls.clear()
     assert len(autotopies(q)) == 36 * 2
-    assert sorted(calls) == [False] * 36 + [True]
+    assert calls.count("source") == 1
+    assert calls.count("target") == 36
+    assert 0 < calls.count("prefix") <= 3 * 6
+
+
+def test_automorphism_group_of_z2_4_visits_few_leaves(monkeypatch):
+    # one source labeling, one match of the identity and at most one leaf
+    # per prefix search, (floor(log2 16) + 1) * 16 of them, for 20160 maps
+    leaves = []
+    labelings = quasigroup._labelings
+
+    def counted(t, target=None, prefix=()):
+        for leaf in labelings(t, target, prefix):
+            leaves.append(prefix)
+            yield leaf
+
+    monkeypatch.setattr(quasigroup, "_labelings", counted)
+    assert len(automorphism_group(parse_group_spec("Z2xZ2xZ2xZ2"))) == 20160
+    assert len(leaves) <= 2 + 5 * 16
 
 
 # -- decomposition -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [3, 7])
+def test_wrong_degree_triples_are_refused(z5_sub, degree):
+    for check in (is_autotopy, decompose_autotopy):
+        with pytest.raises(DegreeMismatch, match=f"permutation degree {degree} != order 5"):
+            check(z5_sub, Autotopy.identity(degree))
 
 
 def test_identity_autotopy_decomposes_trivially(z5_sub):
