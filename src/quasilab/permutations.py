@@ -20,12 +20,15 @@ class Permutation:
     __slots__ = ("_image", "_array")
 
     def __init__(self, image: Sequence[int] | np.ndarray):
-        img = tuple(int(v) for v in image)
-        if sorted(img) != list(range(len(img))):
+        try:
+            arr = np.array(image, dtype=np.int64)
+        except TypeError:  # an iterator, or another Permutation
+            arr = np.array(list(image), dtype=np.int64)
+        img = tuple(arr.tolist())
+        if arr.ndim != 1 or sorted(img) != list(range(len(img))):
             raise ValueError(f"not a bijection of 0..{len(img) - 1}: {img}")
-        self._image = img
-        arr = np.array(img, dtype=np.int64)
         arr.setflags(write=False)
+        self._image = img
         self._array = arr
 
     @classmethod

@@ -311,14 +311,24 @@ class Quasigroup:
                 raise BadSymbol("entries must be integers, not floats")
             raise BadSymbol(f"entries must be integers, got dtype {arr.dtype}")
         n = arr.shape[0]
-        bad = np.argwhere((arr < 0) | (arr >= n))
-        if bad.size:
-            r, c = (int(v) for v in bad[0])
-            raise BadSymbol(f"entry {int(arr[r, c])} at ({r}, {c}) outside 0..{n - 1}")
+        if arr.min() >= 0 and arr.max() < n:
+            return
+        r, c = (int(v) for v in np.argwhere((arr < 0) | (arr >= n))[0])
+        raise BadSymbol(f"entry {int(arr[r, c])} at ({r}, {c}) outside 0..{n - 1}")
 
     @staticmethod
     def _check_latin(table: np.ndarray) -> None:
+        """Every row and every column holds every symbol; entries must already
+        be in 0..n-1 (``_check_symbols``).  On failure, names the first
+        defect: rows before columns, lowest index first, the smallest
+        repeated symbol and its first two positions."""
         n = table.shape[0]
+        idx = np.arange(n)
+        hits = np.zeros((2, n, n), dtype=bool)
+        hits[0, idx[:, None], table] = True     # row r holds symbol s
+        hits[1, idx, table] = True              # column c holds symbol s
+        if hits.all():
+            return
         for r in range(n):
             counts = np.bincount(table[r], minlength=n)
             if counts.max() > 1:

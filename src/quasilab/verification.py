@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -341,19 +343,37 @@ def run_verification(
 
     # T4 -- nontrivial pseudoautomorphism forces a one-sided unit
     census_orders = tuple(range(2, 5)) if max_order >= 2 else ()
+    # isomorphism classes and labeled tables of the Latin squares of each
+    # order (McKay-Meynert-Myrvold, J. Combin. Des. 15, 2007; OEIS A002860)
+    census_counts = {2: (1, 2), 3: (5, 12), 4: (35, 576)}
 
     def t4() -> str:
-        checked = 0
+        classes = tables = 0
         for n in census_orders:
-            for q in find_all(SearchOptions(order=n), max_order=4):
+            reps = find_all(SearchOptions(order=n, up_to_isomorphism=True), max_order=4)
+            want_classes, want_tables = census_counts[n]
+            assert len(reps) == want_classes, \
+                f"order {n}: {len(reps)} isomorphism classes, expected {want_classes}"
+            # orbit formula: the class of Q holds n!/|Aut(Q)| labeled tables
+            labeled = sum(Fraction(math.factorial(n), structure.automorphism_count(q)) for q in reps)
+            assert labeled == want_tables, \
+                f"order {n}: class orbits cover {labeled} tables, expected {want_tables}"
+            # One table per class decides the claim for the whole class.  An
+            # isomorphism phi: Q -> Q' conjugates each pseudoautomorphism
+            # (theta, c) of Q to (phi.theta.phi^-1, phi(c)) of Q', so the
+            # identity to the identity and a nontrivial theta to a nontrivial
+            # one, and it maps a one-sided unit of Q to one of Q'.
+            for q in reps:
                 for side, unit in (("right", "right_unit"), ("left", "left_unit")):
                     ws = structure.pseudoautomorphisms(q, side)
                     if any(not w.theta.is_identity() for w in ws):
                         u = getattr(q.unit_predicates(), unit)
                         assert u is not None, \
                             f"order-{n} table with nontrivial {side} pseudoautomorphism lacks a {side} unit"
-                checked += 1
-        return f"checked the full census of {checked} tables at orders {list(census_orders)}"
+            classes += len(reps)
+            tables += int(labeled)
+        return (f"checked {classes} isomorphism classes ({tables} tables) "
+                f"at orders {list(census_orders)}")
 
     claim("T4", "a nontrivial one-sided pseudoautomorphism forces the matching one-sided unit",
           census_orders, t4, vacuous=not census_orders)

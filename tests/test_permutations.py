@@ -19,6 +19,11 @@ def test_invalid_image_rejected():
         Permutation([1, 2, 3])
 
 
+def test_any_iterable_of_images_is_accepted():
+    p = Permutation([1, 2, 0])
+    assert Permutation(p) == Permutation(iter([1, 2, 0])) == Permutation(p.array) == p
+
+
 def test_composition_order():
     p = Permutation([1, 2, 0])
     q = Permutation([0, 2, 1])

@@ -74,6 +74,22 @@ def test_not_latin_reports_row():
     assert exc.value.index == 0
 
 
+@pytest.mark.parametrize("rows, first", [
+    # rows 2 and 4 and columns 0, 2, 3 and 4 repeat; row 2 repeats 3 first
+    # but 1 is the smaller symbol, and it repeats three times
+    ([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [3, 3, 1, 1, 1], [3, 4, 0, 1, 2], [4, 0, 1, 2, 2]],
+     ("row", 2, 1, (2, 3))),
+    # rows are Latin; columns 1, 2, 3 and 4 repeat, column 1 repeats 3 first
+    # but 2 is the smaller symbol
+    ([[2, 1, 0, 4, 3], [4, 3, 0, 1, 2], [3, 2, 4, 1, 0], [0, 3, 4, 1, 2], [1, 2, 4, 3, 0]],
+     ("column", 1, 2, (2, 4))),
+])
+def test_not_latin_reports_first_defect(rows, first):
+    with pytest.raises(NotLatin) as exc:
+        Quasigroup(rows)
+    assert (exc.value.axis, exc.value.index, exc.value.symbol, exc.value.positions) == first
+
+
 def test_not_square():
     with pytest.raises(NotSquare):
         from_table(2, [[0, 1]])

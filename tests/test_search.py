@@ -1,5 +1,7 @@
 import itertools
 import logging
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from quasilab import (
     Quasigroup,
     SearchOptions,
     TooManyVariables,
+    automorphism_count,
     builtin,
+    builtin_names,
     count,
     equivalence_report,
     find_all,
@@ -273,6 +277,16 @@ def test_progress_interval_logs(caplog):
 ])
 def test_labeled_model_counts(name, n, expected):
     assert count(SearchOptions(order=n, identities=(builtin(name),))) == expected
+
+
+@pytest.mark.parametrize("name", [None, *builtin_names()])
+def test_orbit_formula_equals_labeled_count(name):
+    # each class holds n!/|Aut(Q)| labeled models
+    idents = () if name is None else (builtin(name),)
+    for n in range(1, 5):
+        reps = find_all(SearchOptions(order=n, identities=idents, up_to_isomorphism=True))
+        labeled = sum(Fraction(math.factorial(n), automorphism_count(q)) for q in reps)
+        assert labeled == count(SearchOptions(order=n, identities=idents))
 
 
 def test_neumann_order_7_labeled_count():

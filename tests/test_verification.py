@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from quasilab import OrderTooLarge, Quasigroup, run_verification, structure, verification
+from quasilab import OrderTooLarge, Permutation, Quasigroup, run_verification, structure, verification
 from quasilab.abelian import ENUMERATION_MAX_ORDER
-from quasilab.verification import NEUMANN_INSTANCES
+from quasilab.verification import NEUMANN_INSTANCES, ClaimRecord
 
 
 EXPECTED_CLAIMS = {
@@ -19,6 +19,8 @@ def test_default_run_passes():
     assert report.overall
     assert {r.claim_id for r in report.records} == EXPECTED_CLAIMS
     assert all(r.status == "pass" for r in report.records)
+    t4 = next(r for r in report.records if r.claim_id == "T4")
+    assert t4.detail == "checked 41 isomorphism classes (590 tables) at orders [2, 3, 4]"
 
 
 def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
@@ -34,6 +36,62 @@ def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
     monkeypatch.setattr(structure, "autotopies", counting)
     assert run_verification().overall
     assert len(calls) <= 2 * len(NEUMANN_INSTANCES)
+
+
+def test_t4_searches_pseudoautomorphisms_once_per_class_and_side(monkeypatch):
+    # T4 runs on the 1 + 5 + 35 isomorphism classes of orders 2-4, not on
+    # the 590 labeled tables; G_NOTE adds both sides of every instance
+    calls = []
+    search = structure.pseudoautomorphisms
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "pseudoautomorphisms", counting)
+    assert run_verification().overall
+    assert len(calls) <= 2 * 41 + 2 * len(NEUMANN_INSTANCES)
+
+
+def _t4() -> ClaimRecord:
+    # the census orders 2-4 need only max_order >= 2
+    report = run_verification(max_order=2, max_autotopy_order=1, max_construction_order=1)
+    return next(r for r in report.records if r.claim_id == "T4")
+
+
+def test_t4_fails_when_orbits_do_not_cover_the_census(monkeypatch):
+    count = structure.automorphism_count
+    monkeypatch.setattr(structure, "automorphism_count",
+                        lambda q, **kw: count(q, **kw) + (q.order == 4))
+    t4 = _t4()
+    assert t4.status == "fail"
+    assert t4.detail.startswith("order 4: class orbits cover ")
+    assert t4.detail.endswith(" tables, expected 576")
+
+
+def test_t4_fails_when_a_class_is_missing(monkeypatch):
+    search = verification.find_all
+
+    def drop_last_order_3_class(opts, **kw):
+        found = search(opts, **kw)
+        return found[:-1] if opts.up_to_isomorphism and opts.order == 3 else found
+
+    monkeypatch.setattr(verification, "find_all", drop_last_order_3_class)
+    t4 = _t4()
+    assert (t4.status, t4.detail) == ("fail", "order 3: 4 isomorphism classes, expected 5")
+
+
+def test_t4_fails_on_a_nontrivial_witness_without_a_unit(monkeypatch):
+    # claim a nontrivial pseudoautomorphism on both sides of every table;
+    # the first class without a right unit is x*y = y - x mod 3 (left unit 0)
+    def witness(q, side, **kw):
+        swap = Permutation([1, 0, *range(2, q.order)])
+        return [structure.PseudoautomorphismWitness(swap, 0, side)]
+
+    monkeypatch.setattr(structure, "pseudoautomorphisms", witness)
+    t4 = _t4()
+    assert (t4.status, t4.detail) == (
+        "fail", "order-3 table with nontrivial right pseudoautomorphism lacks a right unit")
 
 
 def test_default_run_decomposes_each_autotopy_once(monkeypatch):
