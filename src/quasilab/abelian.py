@@ -28,7 +28,7 @@ from .errors import (
 )
 from .identities import _first_violation, builtin
 from .permutations import Permutation
-from .quasigroup import Quasigroup, _check_cells, _isomorphisms
+from .quasigroup import Quasigroup, _check_cells, _Labeled
 
 __all__ = [
     "AbelianGroup",
@@ -218,7 +218,7 @@ def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER)
     n = g.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    return list(_isomorphisms(g.table)(g.table))
+    return [Permutation(alpha.tolist()) for alpha in _Labeled(g.table).images]
 
 
 def subtraction_quasigroup(g: AbelianGroup) -> Quasigroup:

@@ -6,17 +6,18 @@ tables, computed lazily and cached (instances are immutable, so the fill is
 idempotent and safe under concurrent use).
 
 ``_labelings`` is the one search over relabelings; canonical forms,
-isomorphisms, automorphisms and autotopies all walk it.  An automorphism
-group is built once per source as a stabilizer chain over the branch
-choices of its first labeling (``_automorphism_images``), from at most
-(floor(log2 n) + 1) * n first-match searches, so every set of isomorphisms
-is one match gamma0 composed with each automorphism of the source.
+isomorphisms, automorphisms and autotopies all walk it.  ``_Labeled`` is
+the one record per table behind every isomorphism and automorphism query:
+one labeling, Aut as a stabilizer chain over its branch choices from at
+most (floor(log2 n) + 1) * n first-match searches, |Aut| as the product of
+the transversal sizes, and the sorted image array only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,79 +143,84 @@ def _labelings(t, target=None, prefix: Sequence[int] = ()
     return extend(0)
 
 
-def _automorphism_images(t, labeling) -> np.ndarray:
-    """Aut(t) as a sorted (|Aut|, n) array of images, identity first, in the
-    narrowest unsigned dtype that holds n - 1.
+class _Labeled:
+    """One table t, labeled once by its first labeling lambda1.  ``match`` is
+    the one step from a matching labeling to a map; Aut is a stabilizer
+    chain whose sorted image array is built only on request."""
 
-    ``labeling`` is t's first labeling lambda1, as ``_labelings`` yields it.
-    Its branch choices b1..bk are a base: an automorphism fixing them fixes
-    the closure, which is everything.  For each level i and each h other
-    than bi outside the closure of b1..b(i-1), one first-match search with
-    the forced prefix (b1..b(i-1), h) finds a transversal element u(i, h),
-    which fixes b1..b(i-1) and sends bi to h, or proves that none exists
-    (C. C. Sims, 1970).  Every automorphism is
-    uniquely u(1, .) . ... . u(k, .), so the array is the product of the
-    transversals: at most k * n searches instead of one leaf per element.
-    """
-    first, source = labeling
-    n = len(source)
-    # a closure gives each label it assigns to a product of smaller labels,
-    # so the branch depths are the labels no such product takes
-    depths = []
-    products: set[int] = set()
-    for d in range(n):
-        if d not in products:
-            depths.append(d)
-        products.update(first[d * n:d * n + d + 1], first[d:d * n:n])   # row d, column d
-    base = [source[d] for d in depths]
-    rank = sorted(range(n), key=source.__getitem__)   # rank[x] = lambda1(x)
-    dtype = np.min_scalar_type(n - 1)
-    images = np.arange(n, dtype=dtype)[None, :]
-    for i in reversed(range(len(base))):
-        level = [list(range(n))]      # u(i, bi) is the identity
-        # b1..b(i-1) close over source[:depths[i]], which u(i, .) fixes
-        for h in source[depths[i] + 1:]:
-            match = next(_labelings(t, first, base[:i] + [h]), None)
-            if match is not None:
-                level.append([match[1][r] for r in rank])
-        # (u . w)(x) = u(w(x)) for every u on this level and w below it
-        images = np.asarray(level, dtype=dtype)[:, images].reshape(-1, n)
-    return images[np.lexsort(images.T[::-1])]
+    def __init__(self, t):
+        self.t = t
+        self.first, self.source = next(_labelings(t))
+        self.rank = sorted(range(len(self.source)), key=self.source.__getitem__)   # rank[x] = lambda1(x)
 
+    def match(self, t2, prefix: Sequence[int] = ()) -> Optional[list[int]]:
+        """The least bijection phi with phi(t[x][y]) = t2[phi x][phi y] whose
+        labeling of t2 branches first on ``prefix``, as images, or None.
 
-def _isomorphisms(t1) -> Callable[..., Iterator[Permutation]]:
-    """``_isomorphisms(t1)(t2)`` yields every bijection phi with
-    phi(t1[x][y]) = t2[phi x][phi y]: first gamma0, the lexicographically
-    least, then gamma0 . alpha for every other automorphism alpha of t1, in
-    lexicographic order of alpha.  Callers that need sorted output sort it.
+        phi = lambda2^-1 . lambda1 for the first labeling lambda2 of t2 that
+        gives lambda1's relabeled table.  lambda1 labels the least unlabeled
+        element at every depth, so every smaller element has its image when
+        the next one is branched on, and the first match is the least.
+        """
+        found = next(_labelings(t2, self.first, prefix), None)
+        return None if found is None else [found[1][r] for r in self.rank]
 
-    t1 is labeled once, by its first labeling lambda1, for any number of
-    targets; gamma0 = lambda2^-1 . lambda1 for the first labeling lambda2
-    of t2 that gives the same relabeled table.  lambda1 labels the least
-    unlabeled element at every depth, so every smaller element has its
-    image when the next one is branched on, and the first match is the
-    least.  Aut(t1) is built once, when the first target matches
-    (``_automorphism_images``), so a target without an isomorphism costs
-    one search and ``next`` on the iterator never builds it.
-    """
-    labeling = next(_labelings(t1))
-    first, source = labeling
-    rank = sorted(range(len(source)), key=source.__getitem__)   # rank[x] = lambda1(x)
-    auts = None
+    @cached_property
+    def transversals(self) -> list[list[list[int]]]:
+        """Aut(t) as a stabilizer chain over lambda1's branch choices.
 
-    def onto(t2) -> Iterator[Permutation]:
-        nonlocal auts
-        match = next(_labelings(t2, first), None)
-        if match is None:
-            return
-        gamma0 = [match[1][r] for r in rank]
-        yield Permutation(gamma0)
-        if auts is None:
-            auts = _automorphism_images(t1, labeling)
-        for alpha in auts[1:]:
-            yield Permutation([gamma0[x] for x in alpha.tolist()])
+        The branch choices b1..bk are a base: an automorphism fixing them
+        fixes the closure, which is everything.  For each level i and each h
+        other than bi outside the closure of b1..b(i-1), one first match
+        with the forced prefix (b1..b(i-1), h) finds a transversal element
+        u(i, h), which fixes b1..b(i-1) and sends bi to h, or proves that
+        none exists (C. C. Sims, 1970).  Every automorphism is uniquely
+        u(1, .) . ... . u(k, .): at most k * n searches instead of one leaf
+        per element.
+        """
+        first, source = self.first, self.source
+        n = len(source)
+        # a closure gives each label it assigns to a product of smaller
+        # labels, so the branch depths are the labels no such product takes
+        depths = []
+        products: set[int] = set()
+        for d in range(n):
+            if d not in products:
+                depths.append(d)
+            products.update(first[d * n:d * n + d + 1], first[d:d * n:n])   # row d, column d
+        base = [source[d] for d in depths]
+        levels = []
+        for i, d in enumerate(depths):
+            level = [list(range(n))]      # u(i, bi) is the identity
+            # b1..b(i-1) close over source[:d], which u(i, .) fixes
+            for h in source[d + 1:]:
+                u = self.match(self.t, base[:i] + [h])
+                if u is not None:
+                    level.append(u)
+            levels.append(level)
+        return levels
 
-    return onto
+    @cached_property
+    def images(self) -> np.ndarray:
+        """Aut(t) as a sorted (|Aut|, n) array of images, identity first, in
+        the narrowest unsigned dtype that holds n - 1."""
+        n = len(self.source)
+        dtype = np.min_scalar_type(n - 1)
+        images = np.arange(n, dtype=dtype)[None, :]
+        for level in reversed(self.transversals):
+            # (u . w)(x) = u(w(x)) for every u on this level and w below it
+            images = np.asarray(level, dtype=dtype)[:, images].reshape(-1, n)
+        return images[np.lexsort(images.T[::-1])]
+
+    def isomorphisms(self, t2) -> np.ndarray:
+        """Every isomorphism onto t2 as rows of images: the least, gamma0,
+        first, then gamma0 . alpha for every other automorphism alpha of t,
+        in lexicographic order of alpha.  A target without an isomorphism
+        costs one search and builds no part of Aut."""
+        gamma0 = self.match(t2)
+        if gamma0 is None:
+            return np.empty((0, len(self.source)), dtype=np.intp)
+        return np.asarray(gamma0, dtype=self.images.dtype)[self.images]
 
 
 @dataclass(frozen=True)
@@ -329,18 +335,13 @@ class Quasigroup:
         hits[1, idx, table] = True              # column c holds symbol s
         if hits.all():
             return
-        for r in range(n):
-            counts = np.bincount(table[r], minlength=n)
-            if counts.max() > 1:
-                s = int(np.argmax(counts > 1))
-                c1, c2 = np.nonzero(table[r] == s)[0][:2]
-                raise NotLatin("row", r, s, (int(c1), int(c2)))
-        for c in range(n):
-            counts = np.bincount(table[:, c], minlength=n)
-            if counts.max() > 1:
-                s = int(np.argmax(counts > 1))
-                r1, r2 = np.nonzero(table[:, c] == s)[0][:2]
-                raise NotLatin("column", c, s, (int(r1), int(r2)))
+        for axis, lines in (("row", table), ("column", table.T)):
+            for i, line in enumerate(lines):
+                counts = np.bincount(line, minlength=n)
+                if counts.max() > 1:
+                    s = int(np.argmax(counts > 1))
+                    j1, j2 = np.nonzero(line == s)[0][:2]
+                    raise NotLatin(axis, i, s, (int(j1), int(j2)))
 
     # -- basic access ----------------------------------------------------------
 

@@ -3,18 +3,16 @@
 Autotopies, automorphisms, ``isomorphic`` and ``canonical_key`` all come
 from one search, ``quasigroup._labelings``, which branches only on
 generating sequences; nothing here scans all n! permutations.
-``canonical_key`` is the least relabeled table.  The isomorphisms onto a
-target are the first match gamma0 of the source's first labeling against
-the target's labelings, composed with each automorphism of the source,
-which is built once per source from a stabilizer chain; ``automorphism_count``
-reads |Aut| off that chain without listing the group.  An autotopy
-(alpha, beta, gamma) is an isomorphism gamma from the principal isotope
-P_00 onto P_ab, where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and
-b = alpha(0): the enumeration labels P_00 once, matches it against the n^2
-tables P_ab, shares one Aut(P_00) among them and reads alpha and beta off
-gamma.  One-sided pseudoautomorphisms are, for each companion c, the
-isomorphisms from q onto one derived Latin square, so each side labels q
-once and builds Aut(q) at most once for n targets.
+``canonical_key`` is the least relabeled table.  Every other query reads
+one ``quasigroup._Labeled`` record of its source table, labeled once:
+``isomorphic`` takes its first match, ``automorphism_count`` multiplies the
+transversal sizes of its stabilizer chain, and ``automorphisms`` lists its
+image array.  An autotopy (alpha, beta, gamma) is an isomorphism gamma from
+the principal isotope P_00 onto P_ab, where P_ab is x o y = (x/a) * (b\\y),
+a = beta(0) and b = alpha(0): one record of P_00 is matched against the n^2
+tables P_ab, and alpha and beta are read off all gamma by two gathers.
+One-sided pseudoautomorphisms are, for each companion c, the isomorphisms
+from one record of q onto one derived Latin square, n targets per side.
 Nuclei are read off the failures of the catalog's associative law, and the
 Bol, Moufang and core-distributive checks are catalog laws too.
 """
@@ -22,6 +20,7 @@ Bol, Moufang and core-distributive checks are catalog laws too.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,14 +30,7 @@ from .abelian import AUTOMORPHISM_MAX_ORDER, AbelianGroup, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
 from .identities import _first_violation, _violations, builtin, holds
 from .permutations import Permutation, orbit
-from .quasigroup import (
-    Quasigroup,
-    _automorphism_images,
-    _check_degree,
-    _isomorphisms,
-    _labelings,
-    _table_key,
-)
+from .quasigroup import Quasigroup, _check_degree, _Labeled, _labelings, _table_key
 
 __all__ = [
     "Autotopy",
@@ -135,15 +127,16 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
     rdiv = q.rdiv_table
     col0 = tab[:, 0]
     row0 = tab[0]
-    onto = _isomorphisms(tab[np.ix_(rdiv[:, 0], ldiv[0])])
+    p00 = _Labeled(tab[np.ix_(rdiv[:, 0], ldiv[0])])
     found: list[Autotopy] = []
     for a in range(n):
         for b in range(n):
             # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
-            for gamma in onto(tab[np.ix_(rdiv[:, a], ldiv[b])]):
-                alpha = rdiv[gamma.array[col0], a]
-                beta = ldiv[b, gamma.array[row0]]
-                found.append(Autotopy(Permutation(alpha), Permutation(beta), gamma))
+            gammas = p00.isomorphisms(tab[np.ix_(rdiv[:, a], ldiv[b])])
+            alphas = rdiv[gammas[:, col0], a]
+            betas = ldiv[b, gammas[:, row0]]
+            found.extend(Autotopy(Permutation(alpha), Permutation(beta), Permutation(gamma.tolist()))
+                         for alpha, beta, gamma in zip(alphas, betas, gammas))
     found.sort()
     return tuple(found)
 
@@ -151,13 +144,13 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
     _check_order(q, max_order, "automorphism")
-    return list(_isomorphisms(q.table)(q.table))
+    return [Permutation(alpha.tolist()) for alpha in _Labeled(q.table).images]
 
 
 def automorphism_count(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> int:
-    """|Aut(q)|, read off the stabilizer chain without listing the group."""
+    """|Aut(q)|: the product of the stabilizer chain's transversal sizes."""
     _check_order(q, max_order, "automorphism")
-    return len(_automorphism_images(q.table, next(_labelings(q.table))))
+    return math.prod(len(level) for level in _Labeled(q.table).transversals)
 
 
 @dataclass(frozen=True)
@@ -235,14 +228,15 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     _check_side(side)
     _check_order(q, max_order, "autotopy")
     tab = q.table
-    onto = _isomorphisms(tab)
+    source = _Labeled(tab)
     found = []
     for c in range(q.order):
         if side == "right":
             target = q.rdiv_table[tab[:, tab[:, c]], c]
         else:
             target = q.ldiv_table[c][tab[tab[c]]]
-        found.extend(PseudoautomorphismWitness(theta, c, side) for theta in onto(target))
+        found.extend(PseudoautomorphismWitness(Permutation(theta.tolist()), c, side)
+                     for theta in source.isomorphisms(target))
     found.sort(key=lambda w: (w.theta.image, w.companion))
     return found
 
@@ -368,14 +362,14 @@ def isomorphic(q1: Quasigroup, q2: Quasigroup) -> Optional[Permutation]:
     """
     if q1.order != q2.order:
         raise OrderMismatch(f"orders differ: {q1.order} vs {q2.order}")
-    return next(_isomorphisms(q1.table)(q2.table), None)
+    phi = _Labeled(q1.table).match(q2.table)
+    return None if phi is None else Permutation(phi)
 
 
 def relabel(q: Quasigroup, perm: Permutation) -> Quasigroup:
     """Transport the table along a bijection of the carrier."""
-    pa = perm.array
-    inv = perm.inverse().array
-    return Quasigroup(pa[q.table[np.ix_(inv, inv)]])
+    inv = perm.inverse()
+    return q.isotope(inv, inv, inv)
 
 
 def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:

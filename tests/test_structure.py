@@ -11,7 +11,9 @@ from quasilab import (
     OrderTooLarge,
     Permutation,
     Quasigroup,
+    SearchOptions,
     a_pseudoautomorphisms,
+    automorphism_count,
     automorphism_group,
     automorphisms,
     autotopies,
@@ -22,6 +24,7 @@ from quasilab import (
     core_distributive,
     decompose_autotopy,
     enumerate_abelian_groups,
+    find_all,
     is_autotopy,
     is_g,
     is_ga,
@@ -38,8 +41,10 @@ from quasilab import (
     subtraction_quasigroup,
 )
 from quasilab import quasigroup, structure
+from quasilab.structure import GAProfile, GProfile
 from quasilab.cli import _analyze_report
 from oracles import (
+    abelian_automorphism_count,
     all_latin_squares,
     first_isomorphism,
     left_bol_first_failure,
@@ -144,6 +149,23 @@ def test_automorphism_counts(z5_sub, z22_sub):
     assert len(automorphisms(Quasigroup([[0]]))) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_automorphism_count_equals_the_listed_group_on_every_latin_square(n):
+    for sq in all_latin_squares(n):
+        q = Quasigroup(sq)
+        assert automorphism_count(q) == len(automorphisms(q)), sq
+
+
+@pytest.mark.parametrize("g", [g for n in range(1, 17) for g in enumerate_abelian_groups(n)],
+                         ids=lambda g: g.label)
+def test_automorphism_count_matches_hillar_rhea(g):
+    # |Aut| from the transversal sizes alone, for the group table and for
+    # its subtraction table (T7: the two groups are equal)
+    expected = abelian_automorphism_count(g.factors)
+    assert automorphism_count(Quasigroup(g.table)) == expected
+    assert automorphism_count(subtraction_quasigroup(g)) == expected
+
+
 def test_automorphisms_share_the_group_automorphism_bound():
     # T7: Aut(Q,*) = Aut(Q,+) for x*y = x - y, here at order 16
     g = parse_group_spec("Z4xZ4")
@@ -246,6 +268,12 @@ def test_wrong_degree_triples_are_refused(z5_sub, degree):
     for check in (is_autotopy, decompose_autotopy):
         with pytest.raises(DegreeMismatch, match=f"permutation degree {degree} != order 5"):
             check(z5_sub, Autotopy.identity(degree))
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_relabel_refuses_a_wrong_degree(z4_sub, degree):
+    with pytest.raises(DegreeMismatch, match=f"permutation degree {degree} != order 4"):
+        relabel(z4_sub, Permutation.identity(degree))
 
 
 def test_identity_autotopy_decomposes_trivially(z5_sub):
@@ -424,6 +452,41 @@ def test_g_profile_sides(z5_sub, z22_sub):
     assert p5.right_g and not p5.left_g      # companions exist only on the right
     p22 = is_g(z22_sub)
     assert p22.left_g and p22.right_g
+
+
+def _orbit_is_everything(gammas, n: int) -> bool:
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for gamma in gammas:
+            if gamma[x] not in seen:
+                seen.add(gamma[x])
+                frontier.append(gamma[x])
+    return len(seen) == n
+
+
+def test_g_and_ga_profiles_match_oracles_on_every_order_4_class():
+    # G: third components R_c.theta (right) and L_c.theta (left) of the
+    # pseudoautomorphisms; GA: those of the autotopies with beta = gamma
+    # (right) and alpha = gamma (left)
+    classes = [q.to_lists() for q in find_all(SearchOptions(4, up_to_isomorphism=True))]
+    assert len(classes) == 35
+    no_right = 0
+    for t in classes:
+        q = Quasigroup(t)
+        right = [tuple(t[theta[x]][c] for x in range(4))
+                 for theta, c in naive_pseudoautomorphisms(t, "right")]
+        left = [tuple(t[c][theta[x]] for x in range(4))
+                for theta, c in naive_pseudoautomorphisms(t, "left")]
+        no_right += not right
+        assert is_g(q) == GProfile(left_g=_orbit_is_everything(left, 4),
+                                   right_g=_orbit_is_everything(right, 4)), t
+        atp = naive_autotopies(t)
+        right_ga = _orbit_is_everything([g for _, b, g in atp if b == g], 4)
+        left_ga = _orbit_is_everything([g for a, _, g in atp if a == g], 4)
+        assert is_ga(q) == GAProfile(left_ga=left_ga, right_ga=right_ga,
+                                     ga=left_ga and right_ga), t
+    assert no_right == 28       # the empty-list path of pseudoautomorphisms
 
 
 def test_order_one_everything_trivially_true():
