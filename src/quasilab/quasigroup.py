@@ -3,7 +3,8 @@
 A quasigroup of order n is an n x n Latin square over {0..n-1}; entry
 ``table[x][y]`` is the product x*y.  Left and right division are derived
 tables, computed lazily and cached (instances are immutable, so the fill is
-idempotent and safe under concurrent use).
+idempotent and safe under concurrent use), and so is the table's
+``_Labeled`` record.
 
 ``_labelings`` is the one search over relabelings; canonical forms,
 isomorphisms, automorphisms and autotopies all walk it.  ``_Labeled`` is
@@ -291,7 +292,7 @@ class UnitProfile:
 class Quasigroup:
     """Immutable finite quasigroup over the carrier {0..n-1}."""
 
-    __slots__ = ("_table", "_label", "_ldiv", "_rdiv")
+    __slots__ = ("_table", "_label", "_ldiv", "_rdiv", "_labeled")
 
     def __init__(self, rows, label: Optional[str] = None):
         try:
@@ -308,6 +309,7 @@ class Quasigroup:
         self._label = label
         self._ldiv = None
         self._rdiv = None
+        self._labeled = None
 
     @staticmethod
     def _check_symbols(arr: np.ndarray) -> None:
@@ -390,6 +392,14 @@ class Quasigroup:
             t.setflags(write=False)
             self._rdiv = t
         return self._rdiv
+
+    @property
+    def labeled(self) -> _Labeled:
+        """The table's one ``_Labeled`` record, shared by every isomorphism
+        and automorphism query on it."""
+        if self._labeled is None:
+            self._labeled = _Labeled(self._table)
+        return self._labeled
 
     def ldiv(self, x: int, y: int) -> int:
         """x \\ y: the unique z with x*z = y."""

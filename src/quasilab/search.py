@@ -27,6 +27,15 @@ each one is re-checked with the exhaustive evaluator before it is returned.
 Results are sorted by table bytes, so the full output is independent of
 search order.  With ``limit`` the search keeps the first models it *finds*,
 and which ones those are does depend on search order.
+
+Up to isomorphism, one pass over the sorted models keeps the lex-first
+model of each class.  Each model is labeled once along its first generator
+sequence (``quasigroup._labelings``, no branching); if that relabeled table
+is one an earlier representative's labelings gave, the model is in its
+class, else it is a new representative and all of its labelings are
+recorded.  Only representatives are wrapped and re-checked.  The pass walks
+labelings as ``structure.canonical_key`` does, so it shares its order bound,
+and an order above it is refused before the search starts.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ import numpy as np
 
 from .errors import OrderTooLarge, QuasilabError, TooManyVariables
 from .identities import Identity, LDIV, MUL, RDIV, Program, _run, holds
-from .quasigroup import Quasigroup, _check_cells, _table_key
-from .structure import canonical_key
+from .quasigroup import Quasigroup, _check_cells, _labelings, _table_key
+from .structure import CANONICAL_MAX_ORDER
 
 __all__ = [
     "SearchOptions",
@@ -127,7 +136,8 @@ def _forced_cells(prog: Program, grids: tuple[np.ndarray, ...],
     return out
 
 
-def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
+def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
+    """Refuse, before any search, what the bounds do not admit."""
     for ident in opts.identities:
         if len(ident.vars) > MAX_IDENTITY_VARS:
             raise TooManyVariables(
@@ -138,7 +148,12 @@ def _search(opts: SearchOptions, max_order: Optional[int]) -> list[np.ndarray]:
         raise OrderTooLarge(f"order {opts.order} above search bound {bound}")
     for ident in opts.identities:
         _check_cells(opts.order, len(ident.vars))
+    # the class pass walks every labeling of each representative
+    if opts.up_to_isomorphism and opts.order > CANONICAL_MAX_ORDER:
+        raise OrderTooLarge(f"order {opts.order} above canonical-form bound {CANONICAL_MAX_ORDER}")
 
+
+def _search(opts: SearchOptions) -> list[np.ndarray]:
     start = time.perf_counter()
     n = opts.order
     pad = n + 1
@@ -271,19 +286,33 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
     the first ``limit`` raw models it *finds*; only those are then sorted
     (and filtered) as usual, so which models are kept depends on search
     order and need not be the lexicographically first ones.
+
+    Up to isomorphism, the representative of a class is its lex-first
+    model.  The sorted models are passed once: a model whose first labeling
+    (``quasigroup._labelings``) gives a relabeled table that an earlier
+    representative's labelings gave joins that class; any other model is a
+    new representative, and every labeling of it is recorded.  Isomorphic
+    tables have the same relabeled tables, so this is exact, and only the
+    representatives are wrapped and re-checked: a relabeling of a Latin
+    model is a Latin model.
     """
-    raw = _search(opts, max_order)
-    raw.sort(key=_table_key)
-    models = [Quasigroup(t) for t in raw]
-    for q in models:
+    _check_bounds(opts, max_order)
+    raw = _search(opts)
+    raw.sort(key=_table_key, reverse=True)
+    models = []
+    # relabeled tables as bytes, exact up to CANONICAL_MAX_ORDER < 256
+    leaves: set[bytes] = set()
+    while raw:
+        t = raw.pop()       # in table order; each search table is freed once wrapped
+        if opts.up_to_isomorphism and bytes(next(_labelings(t))[0]) in leaves:
+            continue
+        q = Quasigroup(t)
         for ident in opts.identities:
             if not holds(q, ident):
                 raise AssertionError(f"search produced a non-model of '{ident}'")
-    if opts.up_to_isomorphism:
-        seen: dict[bytes, Quasigroup] = {}
-        for q in models:
-            seen.setdefault(canonical_key(q), q)
-        models = sorted(seen.values(), key=Quasigroup.key)
+        models.append(q)
+        if opts.up_to_isomorphism:
+            leaves.update(bytes(leaf) for leaf, _ in _labelings(t))
     if opts.limit is not None:
         models = models[: opts.limit]
     return models
@@ -293,7 +322,8 @@ def count(opts: SearchOptions, max_order: Optional[int] = None) -> int:
     """Number of satisfying tables, without wrapping them in Quasigroups."""
     if opts.up_to_isomorphism:
         return len(find_all(opts, max_order=max_order))
-    return len(_search(opts, max_order))
+    _check_bounds(opts, max_order)
+    return len(_search(opts))
 
 
 @dataclass(frozen=True)

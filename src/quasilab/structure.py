@@ -4,17 +4,19 @@ Autotopies, automorphisms, ``isomorphic`` and ``canonical_key`` all come
 from one search, ``quasigroup._labelings``, which branches only on
 generating sequences; nothing here scans all n! permutations.
 ``canonical_key`` is the least relabeled table.  Every other query reads
-one ``quasigroup._Labeled`` record of its source table, labeled once:
-``isomorphic`` takes its first match, ``automorphism_count`` multiplies the
-transversal sizes of its stabilizer chain, and ``automorphisms`` lists its
-image array.  An autotopy (alpha, beta, gamma) is an isomorphism gamma from
-the principal isotope P_00 onto P_ab, where P_ab is x o y = (x/a) * (b\\y),
-a = beta(0) and b = alpha(0): one record of P_00 is matched against the n^2
-tables P_ab, and alpha and beta are read off all gamma by two gathers.
-One-sided pseudoautomorphisms are, for each companion c, the isomorphisms
-from one record of q onto one derived Latin square, n targets per side.
-Nuclei are read off the failures of the catalog's associative law, and the
-Bol, Moufang and core-distributive checks are catalog laws too.
+the ``quasigroup._Labeled`` record its source Quasigroup keeps
+(``Quasigroup.labeled``), so a table is labeled once however many queries
+ask: ``isomorphic`` takes its first match, ``automorphism_count``
+multiplies the transversal sizes of its stabilizer chain, and
+``automorphisms`` lists its image array.  An autotopy (alpha, beta,
+gamma) is an isomorphism gamma from the principal isotope P_00 onto P_ab,
+where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0): one
+record of P_00 is matched against the n^2 tables P_ab, and alpha and beta
+are read off all gamma by two gathers.  One-sided pseudoautomorphisms are,
+for each companion c, the isomorphisms from q's record onto one derived
+Latin square, n targets per side.  Nuclei are read off the failures of
+the catalog's associative law, and the Bol, Moufang and core-distributive
+checks are catalog laws too.
 """
 
 from __future__ import annotations
@@ -144,13 +146,13 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
     _check_order(q, max_order, "automorphism")
-    return [Permutation(alpha.tolist()) for alpha in _Labeled(q.table).images]
+    return [Permutation(alpha.tolist()) for alpha in q.labeled.images]
 
 
 def automorphism_count(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> int:
     """|Aut(q)|: the product of the stabilizer chain's transversal sizes."""
     _check_order(q, max_order, "automorphism")
-    return math.prod(len(level) for level in _Labeled(q.table).transversals)
+    return math.prod(len(level) for level in q.labeled.transversals)
 
 
 @dataclass(frozen=True)
@@ -222,13 +224,13 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     (theta, R_c.theta, R_c.theta) is an autotopy iff theta is an isomorphism
     from q onto x o y = (x*(y*c))/c, and (L_c.theta, theta, L_c.theta) is one
     iff theta is an isomorphism from q onto x o y = c\\((c*x)*y).  Both are
-    Latin squares, so each side labels q once and matches it against the n
-    derived squares.
+    Latin squares, so each side matches q's record against the n derived
+    squares.
     """
     _check_side(side)
     _check_order(q, max_order, "autotopy")
     tab = q.table
-    source = _Labeled(tab)
+    source = q.labeled
     found = []
     for c in range(q.order):
         if side == "right":
@@ -362,7 +364,7 @@ def isomorphic(q1: Quasigroup, q2: Quasigroup) -> Optional[Permutation]:
     """
     if q1.order != q2.order:
         raise OrderMismatch(f"orders differ: {q1.order} vs {q2.order}")
-    phi = _Labeled(q1.table).match(q2.table)
+    phi = q1.labeled.match(q2.table)
     return None if phi is None else Permutation(phi)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quasilab import cyclic, format_table, parse_group_spec, parse_table_text, subtraction_quasigroup
-from quasilab import structure
+from quasilab import search, structure
 from quasilab.cli import main
 from conftest import addition_table
 from quasilab import Quasigroup
@@ -98,6 +98,13 @@ def test_find_up_to_iso_and_limit(capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["find", "--order", "4", "--limit", "3", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_find_up_to_iso_above_the_canonical_bound_exits_before_searching(monkeypatch, capsys):
+    monkeypatch.setenv("QUASILAB_MAX_ORDER", "17")
+    monkeypatch.setattr(search, "_search", lambda opts: pytest.fail("searched"))
+    assert main(["find", "--order", "17", "--up-to-iso", "--limit", "2"]) == 2
+    assert "order 17 above canonical-form bound 16" in capsys.readouterr().err
 
 
 def test_find_max_order_override(capsys):

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import logging
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilab import (
+    NotLatin,
     OrderTooLarge,
     Quasigroup,
     SearchOptions,
@@ -15,6 +18,7 @@ from quasilab import (
     automorphism_count,
     builtin,
     builtin_names,
+    canonical_key,
     count,
     equivalence_report,
     find_all,
@@ -25,7 +29,7 @@ from quasilab import (
     relabel,
     subtraction_quasigroup,
 )
-from quasilab import Permutation
+from quasilab import Permutation, search
 from quasilab.identities import BinOp, Identity, LDIV, MUL, RDIV, Var
 from oracles import all_latin_squares, holds_bruteforce, naive_canonical_form
 
@@ -125,6 +129,61 @@ def test_up_to_isomorphism_returns_the_lex_first_square_of_each_class():
         first[form] = min(first.get(form, sq), sq)
     reps = find_all(SearchOptions(4, up_to_isomorphism=True))
     assert [tuple(map(tuple, q.to_lists())) for q in reps] == sorted(first.values())
+
+
+def _classes_by_canonical_key(opts, max_order=None):
+    """The class representatives as the canonical key finds them: the first
+    model of each key over the sorted labeled models."""
+    seen = {}
+    for q in find_all(dataclasses.replace(opts, up_to_isomorphism=False), max_order=max_order):
+        seen.setdefault(canonical_key(q), q)
+    return [q.key() for q in seen.values()][: opts.limit]
+
+
+@pytest.mark.parametrize("name", [None, *builtin_names()])
+def test_class_pass_equals_the_canonical_key_classes(name):
+    idents = () if name is None else (builtin(name),)
+    for n in range(1, 5):
+        opts = SearchOptions(order=n, identities=idents, up_to_isomorphism=True)
+        assert [q.key() for q in find_all(opts)] == _classes_by_canonical_key(opts)
+
+
+@pytest.mark.parametrize("opts, max_order", [
+    (SearchOptions(5, (builtin("medial"),), up_to_isomorphism=True), None),
+    (SearchOptions(6, up_to_isomorphism=True, limit=500), None),
+    (SearchOptions(9, up_to_isomorphism=True, limit=50), 9),
+])
+def test_class_pass_equals_the_canonical_key_classes_at_larger_orders(opts, max_order):
+    reps = [q.key() for q in find_all(opts, max_order=max_order)]
+    assert reps == _classes_by_canonical_key(opts, max_order)
+
+
+def _search_adding(monkeypatch, table):
+    searched = search._search
+    monkeypatch.setattr(search, "_search", lambda opts: searched(opts) + [np.array(table)])
+
+
+def test_class_pass_rejects_a_non_latin_table(monkeypatch):
+    # sorts after every Latin square of order 3, so it is reached last
+    _search_adding(monkeypatch, [[2, 2, 2], [2, 2, 2], [2, 2, 2]])
+    with pytest.raises(NotLatin):
+        find_all(SearchOptions(3, up_to_isomorphism=True))
+
+
+def test_class_pass_rejects_a_latin_non_model(monkeypatch):
+    z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert not holds(Quasigroup(z3), builtin("neumann"))
+    _search_adding(monkeypatch, z3)
+    with pytest.raises(AssertionError, match="non-model of"):
+        find_all(SearchOptions(3, (builtin("neumann"),), up_to_isomorphism=True))
+
+
+def test_up_to_isomorphism_refuses_above_the_canonical_bound_before_searching(monkeypatch):
+    monkeypatch.setattr(search, "_search", lambda opts: pytest.fail("searched"))
+    opts = SearchOptions(17, up_to_isomorphism=True, limit=2)
+    for run in (find_all, count):
+        with pytest.raises(OrderTooLarge, match="^order 17 above canonical-form bound 16$"):
+            run(opts, max_order=17)
 
 
 def test_determinism_and_sorted_output():

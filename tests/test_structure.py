@@ -166,6 +166,23 @@ def test_automorphism_count_matches_hillar_rhea(g):
     assert automorphism_count(subtraction_quasigroup(g)) == expected
 
 
+def test_queries_on_one_quasigroup_label_it_once(monkeypatch, z5_sub):
+    labeled = []
+    init = quasigroup._Labeled.__init__
+
+    def counted(self, t):
+        labeled.append(t)
+        init(self, t)
+
+    monkeypatch.setattr(quasigroup._Labeled, "__init__", counted)
+    target = relabel(z5_sub, Permutation([1, 0, 3, 4, 2]))
+    for _ in range(2):
+        assert automorphism_count(z5_sub) == len(automorphisms(z5_sub)) == 4
+        assert pseudoautomorphisms(z5_sub, "right") and not pseudoautomorphisms(z5_sub, "left")
+        assert isomorphic(z5_sub, target) is not None
+    assert len(labeled) == 1 and labeled[0] is z5_sub.table
+
+
 def test_automorphisms_share_the_group_automorphism_bound():
     # T7: Aut(Q,*) = Aut(Q,+) for x*y = x - y, here at order 16
     g = parse_group_spec("Z4xZ4")
@@ -226,15 +243,16 @@ def test_isomorphism_searches_label_the_source_once(monkeypatch):
     rng = random.Random(6)
     sub = subtraction_quasigroup(parse_group_spec("Z6"))
     q = sub.isotope(*(Permutation(rng.sample(range(6), 6)) for _ in range(3)))
+    # a Quasigroup keeps its record, so each call here gets a fresh one
     for table in (sub, q):
         for side in ("left", "right"):
             calls.clear()
-            pseudoautomorphisms(table, side)
+            pseudoautomorphisms(Quasigroup(table.table), side)
             assert calls.count("source") == 1
             assert calls.count("target") == 6
             assert calls.count("prefix") <= 3 * 6
     calls.clear()
-    assert len(pseudoautomorphisms(sub, "right")) == 12   # all 6 companions match
+    assert len(pseudoautomorphisms(Quasigroup(sub.table), "right")) == 12   # all 6 companions match
     assert 0 < calls.count("prefix") <= 3 * 6
     structure._autotopy_group.cache_clear()
     calls.clear()
