@@ -1,8 +1,10 @@
 """Finding every small model of an identity.
 
-The search engine completes Latin squares cell by cell (most constrained cell
-first, candidate sets as bitmasks) and prunes any branch on which some fully
-determined instance of a requested identity already fails.  At these orders
+The search engine completes Latin squares cell by cell (the first empty cell
+in row-major order, smallest symbol first, candidate sets as bitmasks), fills
+every cell that is left with one candidate or that an identity forces, and
+prunes any branch on which some fully determined instance of a requested
+identity already fails.  So it finds the models in table order.  At these orders
 the enumeration is exhaustive, so "the models coincide" is a theorem check,
 not a sample.
 """

@@ -327,6 +327,37 @@ def holds(q: Quasigroup, ident: Identity) -> bool:
     return not _violations(q, ident).any()
 
 
+class _Stack:
+    """Lookups into a stack of tables at once: ``s[x, y]`` is
+    ``tables[i, x, y]`` for the broadcast table index ``i``."""
+
+    def __init__(self, tables: np.ndarray, i: np.ndarray):
+        self.tables = tables
+        self.i = i
+
+    def __getitem__(self, xy):
+        return self.tables[self.i, xy[0], xy[1]]
+
+
+def _holds_in_each(tables: np.ndarray, ident: Identity) -> bool:
+    """True iff the identity holds in each Latin table of the (m, n, n)
+    stack ``tables``, by one evaluation over m * n^k cells: the sparse
+    variable grids of ``holds`` behind a leading table axis."""
+    k = len(ident.vars)
+    prog = ident.program
+    ops = {op for op, _, _ in prog.code}
+    full = {MUL: tables}
+    # argsort of a permutation row is its inverse, as in Quasigroup.ldiv_table
+    if LDIV in ops:
+        full[LDIV] = np.argsort(tables, axis=2)
+    if RDIV in ops:
+        full[RDIV] = np.argsort(tables, axis=1)
+    i = np.arange(len(tables)).reshape((-1,) + (1,) * k)
+    grids = [g[None] for g in np.indices((tables.shape[1],) * k, sparse=True)]
+    vals = _run(prog.code, {op: _Stack(t, i) for op, t in full.items()}, grids)
+    return not (vals[prog.lhs] != vals[prog.rhs]).any()
+
+
 def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
     """First failing assignment, or None if the identity holds.
 

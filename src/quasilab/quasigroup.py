@@ -72,6 +72,22 @@ def _table_key(table: np.ndarray) -> bytes:
     return table.astype(dtype).tobytes()
 
 
+def _all_latin(tables: np.ndarray) -> bool:
+    """True iff each (n, n) table of an (m, n, n) integer stack is a Latin
+    square over 0..n-1: entries in range, and each row and each column holds
+    every symbol.  ``Quasigroup._check_latin`` runs the same test on one
+    table without the stack axis, which costs a third less per table."""
+    m, n = tables.shape[:2]
+    if not (np.issubdtype(tables.dtype, np.integer) and tables.min() >= 0 and tables.max() < n):
+        return False
+    i = np.arange(m)[:, None, None]
+    idx = np.arange(n)
+    hits = np.zeros((2, m, n, n), dtype=bool)
+    hits[0, i, idx[:, None], tables] = True     # table i, row r holds symbol s
+    hits[1, i, idx, tables] = True              # table i, column c holds symbol s
+    return bool(hits.all())
+
+
 def _labelings(t, target=None, prefix: Sequence[int] = ()
                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The generator-sequence labelings of a Latin square.
@@ -304,6 +320,17 @@ class Quasigroup:
         self._check_symbols(arr)
         table = arr.astype(np.int64)
         self._check_latin(table)
+        self._fill(table, label)
+
+    @classmethod
+    def _checked(cls, table: np.ndarray) -> "Quasigroup":
+        """Wrap an int64 table that the caller has already checked to be
+        Latin over 0..n-1, without checking it again."""
+        q = cls.__new__(cls)
+        q._fill(table, None)
+        return q
+
+    def _fill(self, table: np.ndarray, label: Optional[str]) -> None:
         table.setflags(write=False)
         self._table = table
         self._label = label

@@ -1,43 +1,51 @@
 """Exhaustive enumeration of quasigroups satisfying identities.
 
-Backtracking Latin-square completion with forced-cell propagation.  Cells
-carry candidate bitmasks derived from row/column used-symbol masks, and the
-most constrained cell is branched on first (ties broken by (row, col)).
+Backtracking Latin-square completion with forced-cell propagation, with the
+cell order and forcing of SEM (J. Zhang & H. Zhang, IJCAI 1995) and Mace4
+(W. McCune, ANL/MCS-TM-264, 2003).  Cells carry candidate bitmasks derived
+from row/column used-symbol masks.  The search branches on the first empty
+cell in row-major order and tries its candidates in ascending order.
 
 Each identity's compiled form (``Identity.program``, the post-order code that
 ``holds`` and ``eval_term`` also run) is evaluated by the same evaluator over
 the flattened n^k assignment grid.  The partial table is held as three
-sentinel-padded (n+1) x (n+1) arrays for ``*``, ``\\`` and ``/``: an unknown
-cell holds n, and so do row n and column n, so a lookup with an unknown
-argument is itself unknown.  After every branching assignment all identities
-are evaluated over the whole grid, repeatedly until nothing changes:
+sentinel-padded (n+2) x (n+2) arrays for ``*``, ``\\`` and ``/``: an empty
+cell holds n, and rows and columns n and n + 1 hold n + 1, so a lookup with
+an unknown argument gives n + 1 and one of known arguments into an empty
+cell gives n.  After every branching assignment, propagation runs these
+rules to one joint fixpoint:
 
-* an instance whose two sides are known and unequal prunes the branch;
+* an empty cell left with one candidate gets it (looked for in the row and
+  the column of every write), and an empty cell left with none prunes the
+  branch;
+* an identity instance whose two sides are known and unequal prunes the
+  branch;
 * an instance with one side known whose other side's top lookup has known
-  arguments but an unknown result forces that cell of ``*`` (Mace4's rule,
-  W. McCune, ANL/MCS-TM-264, 2003);
+  arguments but an empty cell forces that cell of ``*`` (Mace4's rule);
 * a forced cell that clashes with an assigned cell or a row/column mask
   prunes the branch.
 
-Forced cells are recorded on a trail and undone on backtrack.  Propagation
-only removes completions that violate an identity, so the models are exactly
-those of a naive filter over all Latin squares (tested at small orders), and
-each one is re-checked with the exhaustive evaluator before it is returned.
+Every write, branch or forced, goes through one assignment on a trail and
+is undone on backtrack.  Propagation only removes completions that violate
+an identity or the Latin property, so the models are exactly those of a
+naive filter over all Latin squares (tested at small orders), and each one
+is re-checked with the exhaustive evaluator before it is returned.
 
-Results are sorted by table bytes, so the full output is independent of
-search order.  With ``limit`` the search keeps the first models it *finds*,
-and which ones those are does depend on search order.
+Two leaves first differ at the cell where their paths split, and the
+smaller symbol there is tried first, so the models come out in table
+(``_table_key``) order with no sort, and ``limit`` keeps the
+lexicographically first ``limit`` of them.  Each leaf is copied once, into
+the int64 array that its ``Quasigroup`` then wraps.
 
-Up to isomorphism, one pass over the sorted models keeps the lex-first
-model of each class.  Each model is labeled once along its first generator
-sequence (``quasigroup._labelings``, no branching); if that relabeled table
-is one an earlier representative's labelings gave, the model is in its
-class, else it is a new representative and all of its labelings are
-recorded.  Only representatives are wrapped and re-checked.  The pass walks
-labelings as ``structure.canonical_key`` does, so it shares its order bound,
-and an order above it is refused before the search starts.
+Up to isomorphism, one pass over the models keeps the lex-first model of
+each class.  Each model is labeled once along its first generator sequence
+(``quasigroup._labelings``, no branching); if that relabeled table is one an
+earlier representative's labelings gave, the model is in its class, else it
+is a new representative and all of its labelings are recorded.  Only
+representatives are wrapped.  The pass walks labelings as
+``structure.canonical_key`` does, so it shares its order bound, and an order
+above it is refused before the search starts.
 """
-
 from __future__ import annotations
 
 import logging
@@ -49,8 +57,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OrderTooLarge, QuasilabError, TooManyVariables
-from .identities import Identity, LDIV, MUL, RDIV, Program, _run, holds
-from .quasigroup import Quasigroup, _check_cells, _labelings, _table_key
+from .identities import Identity, LDIV, MUL, RDIV, Program, _holds_in_each, _run, holds
+from .quasigroup import Quasigroup, _all_latin, _check_cells, _labelings
 from .structure import CANONICAL_MAX_ORDER
 
 __all__ = [
@@ -69,6 +77,10 @@ MAX_IDENTITY_VARS = 4
 DEFAULT_MAX_ORDER = 6        # identities with at most 3 variables
 DEFAULT_MAX_ORDER_4VAR = 5
 ENV_MAX_ORDER = "QUASILAB_MAX_ORDER"
+# Cells one re-check of stacked search results evaluates: far within
+# CELL_BUDGET, so that each int64 intermediate stays at 32 KB and the
+# re-check adds nothing to the peak memory of a search.
+CHECK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -104,8 +116,9 @@ def _forced_cells(prog: Program, grids: tuple[np.ndarray, ...],
     """Cells forced by the identity on the partial table, or None on a violation.
 
     ``grids`` are the flattened n^k variable grids and ``tabs`` the
-    sentinel-padded ``*``, ``\\`` and ``/`` tables, so a value of ``n`` means
-    unknown.  The result is a list of int arrays of encoded
+    sentinel-padded ``*``, ``\\`` and ``/`` tables, so a value of ``n``
+    means a lookup of known arguments into an empty cell and ``n + 1`` one
+    with an unknown argument.  The result is a list of int arrays of encoded
     ``(row * (n+1) + col) * (n+1) + symbol`` cells, possibly repeated.
     """
     vals = _run(prog.code, tabs, grids)
@@ -120,12 +133,11 @@ def _forced_cells(prog: Program, grids: tuple[np.ndarray, ...],
     for slot, value, known in ((prog.lhs, rv, rk), (prog.rhs, lv, lk)):
         if slot < k:
             continue
-        op, a, b = prog.code[slot - k]
-        va, vb = vals[a], vals[b]
-        hit = known & (vals[slot] == n) & (va < n) & (vb < n)
+        hit = known & (vals[slot] == n)
         if not hit.any():
             continue
-        w, va, vb = value[hit], va[hit], vb[hit]
+        op, a, b = prog.code[slot - k]
+        w, va, vb = value[hit], vals[a][hit], vals[b][hit]
         if op == MUL:           # a*b = w
             r, c, v = va, vb, w
         elif op == LDIV:        # a\b = w  <=>  a*w = b
@@ -154,13 +166,16 @@ def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
 
 
 def _search(opts: SearchOptions) -> list[np.ndarray]:
+    """The models in table order, at most ``opts.limit`` of them, as int64
+    (n, n) arrays."""
     start = time.perf_counter()
     n = opts.order
     pad = n + 1
     full = (1 << n) - 1
-    # Sentinel-padded tables: n marks an unknown cell, and row n / column n
-    # are all n, so a lookup with an unknown argument is unknown too.
-    mul = np.full((pad, pad), n, dtype=np.intp)
+    # Sentinel-padded tables: n marks an empty cell, and rows and columns n
+    # and n + 1 are all n + 1, so a lookup with an unknown argument is n + 1.
+    mul = np.full((n + 2, n + 2), n + 1, dtype=np.intp)
+    mul[:n, :n] = n
     ldiv = mul.copy()
     rdiv = mul.copy()
     tabs = {MUL: mul, LDIV: ldiv, RDIV: rdiv}
@@ -171,6 +186,7 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
     progs = [(ident.program, tuple(g.ravel() for g in np.indices((n,) * len(ident.vars))))
              for ident in opts.identities]
     found: list[np.ndarray] = []
+    limit = opts.limit
     nodes = forced = prunes = 0
     interval = opts.progress_interval
 
@@ -179,9 +195,10 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
         if cells[r][c] >= 0 or (row_mask[r] | col_mask[c]) & bit:
             return False
         cells[r][c] = v
-        mul[r, c] = v
-        ldiv[r, v] = c
-        rdiv[v, c] = r
+        if progs:       # only identity propagation reads the numpy tables
+            mul[r, c] = v
+            ldiv[r, v] = c
+            rdiv[v, c] = r
         row_mask[r] |= bit
         col_mask[c] |= bit
         trail.append((r, c, v))
@@ -192,14 +209,41 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
             r, c, v = trail.pop()
             bit = ~(1 << v)
             cells[r][c] = -1
-            mul[r, c] = ldiv[r, v] = rdiv[v, c] = n
+            if progs:
+                mul[r, c] = ldiv[r, v] = rdiv[v, c] = n
             row_mask[r] &= bit
             col_mask[c] &= bit
 
-    def propagate() -> bool:
-        """Apply forced cells until none are left; False on a contradiction."""
+    def single(r: int, c: int) -> bool:
+        """Assign an empty cell left with one candidate; False if it has none."""
+        nonlocal forced
+        m = full & ~(row_mask[r] | col_mask[c])
+        if m & (m - 1):
+            return True
+        if not m:
+            return False
+        assign(r, c, m.bit_length() - 1)
+        forced += 1
+        return True
+
+    def propagate(swept: int) -> bool:
+        """Apply single-candidate cells and identity-forced cells until none
+        are left; False on a contradiction.  Trail entries from ``swept`` on
+        are the writes whose row and column have not been looked at."""
         nonlocal forced, prunes
         while True:
+            while swept < len(trail):
+                r, c, _ = trail[swept]
+                swept += 1
+                crow = cells[r]
+                for cc in range(n):
+                    if crow[cc] < 0 and not single(r, cc):
+                        prunes += 1
+                        return False
+                for rr in range(n):
+                    if cells[rr][c] < 0 and not single(rr, c):
+                        prunes += 1
+                        return False
             batch = []
             for prog, grids in progs:
                 hits = _forced_cells(prog, grids, tabs, n)
@@ -220,101 +264,95 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
                     return False
                 forced += 1
 
-    def dfs() -> None:
+    def dfs(pos: int) -> None:
+        """Branch on the first empty cell at or after ``pos`` (row-major),
+        smallest symbol first, so leaves come in table order."""
         nonlocal nodes
-        best_r = best_c = -1
-        best_mask = 0
-        best_cnt = n + 1
-        for r in range(n):
-            rm = row_mask[r]
-            crow = cells[r]
-            for c in range(n):
-                if crow[c] >= 0:
-                    continue
-                m = full & ~(rm | col_mask[c])
-                cnt = m.bit_count()
-                if cnt == 0:
-                    return
-                if cnt < best_cnt:
-                    best_cnt, best_r, best_c, best_mask = cnt, r, c, m
-        if best_r < 0:
-            found.append(mul[:n, :n].copy())
+        r, c = divmod(pos, n)
+        while r < n and cells[r][c] >= 0:
+            c += 1
+            if c == n:
+                r, c = r + 1, 0
+        if r == n:
+            found.append(np.array(cells, dtype=np.int64))
             return
-        crow = cells[best_r]
-        m = best_mask
+        pos = r * n + c
+        m = full & ~(row_mask[r] | col_mask[c])
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            # The branching cell is written inline: its symbol comes from the
-            # candidate mask, so it needs none of assign()'s checks, and the
-            # pure Latin-square search pays no call or trail overhead.
             mark = len(trail)
-            bit = 1 << v
-            crow[best_c] = v
-            mul[best_r, best_c] = v
-            ldiv[best_r, v] = best_c
-            rdiv[v, best_c] = best_r
-            row_mask[best_r] |= bit
-            col_mask[best_c] |= bit
+            assign(r, c, v)
             nodes += 1
             if interval and nodes % interval == 0:
                 log.info("search order %d: %d nodes, %d models", n, nodes, len(found))
-            if not progs or propagate():
-                dfs()
-            if len(trail) > mark:
-                undo(mark)
-            crow[best_c] = -1
-            mul[best_r, best_c] = ldiv[best_r, v] = rdiv[v, best_c] = n
-            row_mask[best_r] &= ~bit
-            col_mask[best_c] &= ~bit
-            if opts.limit is not None and len(found) >= opts.limit:
+            if propagate(mark):
+                dfs(pos + 1)
+            undo(mark)
+            if len(found) == limit:
                 return
 
-    if not progs or propagate():
-        dfs()
+    if limit != 0 and propagate(0):
+        dfs(0)
     log.debug("search order %d: %d nodes, %d forced cells, %d prunes, %d models in %.3f s",
               n, nodes, forced, prunes, len(found), time.perf_counter() - start)
     return found
+
+
+def _full_check(t: np.ndarray, identities: Sequence[Identity]) -> None:
+    """The checks a table gets outside the search: the ``Quasigroup``
+    constructor, which names its first defect, and ``holds`` for each
+    identity, with AssertionError on a non-model."""
+    q = Quasigroup(t)
+    for ident in identities:
+        if not holds(q, ident):
+            raise AssertionError(f"search produced a non-model of '{ident}'")
 
 
 def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasigroup]:
     """All order-n quasigroups satisfying the identities, in lexicographic
     table order (class representatives if ``up_to_isomorphism``).
 
-    Every result is re-checked against each identity with the exhaustive
-    evaluator before being returned.  With ``limit`` the search stops after
-    the first ``limit`` raw models it *finds*; only those are then sorted
-    (and filtered) as usual, so which models are kept depends on search
-    order and need not be the lexicographically first ones.
+    The search branches on the first empty cell in row-major order, smallest
+    symbol first, so its models come out in table order, and ``limit`` keeps
+    the lexicographically first ``limit`` of them.  Up to isomorphism,
+    ``limit`` bounds the labeled models searched, so the result is the
+    classes among the first ``limit`` models.
+
+    The results are re-checked in chunks of stacked tables, at most
+    ``CHECK_CELLS`` evaluated cells each: one Latin check and one
+    exhaustive evaluation of each identity per chunk.  A chunk that fails
+    is checked table by table with the ``Quasigroup`` constructor and
+    ``holds``, which name the first defect.
 
     Up to isomorphism, the representative of a class is its lex-first
-    model.  The sorted models are passed once: a model whose first labeling
+    model.  The models are passed once: a model whose first labeling
     (``quasigroup._labelings``) gives a relabeled table that an earlier
     representative's labelings gave joins that class; any other model is a
     new representative, and every labeling of it is recorded.  Isomorphic
     tables have the same relabeled tables, so this is exact, and only the
-    representatives are wrapped and re-checked: a relabeling of a Latin
-    model is a Latin model.
+    representatives are wrapped.
     """
     _check_bounds(opts, max_order)
     raw = _search(opts)
-    raw.sort(key=_table_key, reverse=True)
+    n = opts.order
+    per = max(1, CHECK_CELLS // n ** max([2, *(len(i.vars) for i in opts.identities)]))
     models = []
     # relabeled tables as bytes, exact up to CANONICAL_MAX_ORDER < 256
     leaves: set[bytes] = set()
     while raw:
-        t = raw.pop()       # in table order; each search table is freed once wrapped
-        if opts.up_to_isomorphism and bytes(next(_labelings(t))[0]) in leaves:
-            continue
-        q = Quasigroup(t)
-        for ident in opts.identities:
-            if not holds(q, ident):
-                raise AssertionError(f"search produced a non-model of '{ident}'")
-        models.append(q)
-        if opts.up_to_isomorphism:
-            leaves.update(bytes(leaf) for leaf, _ in _labelings(t))
-    if opts.limit is not None:
-        models = models[: opts.limit]
+        tables = raw[:per]
+        del raw[:per]       # so that a table skipped up to isomorphism is freed at once
+        chunk = np.stack(tables)
+        if not (_all_latin(chunk) and all(_holds_in_each(chunk, i) for i in opts.identities)):
+            for t in tables:
+                _full_check(t, opts.identities)
+        for t in tables:
+            if opts.up_to_isomorphism:
+                if bytes(next(_labelings(t))[0]) in leaves:
+                    continue
+                leaves.update(bytes(leaf) for leaf, _ in _labelings(t))
+            models.append(Quasigroup._checked(t))
     return models
 
 

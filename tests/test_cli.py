@@ -100,6 +100,19 @@ def test_find_up_to_iso_and_limit(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_find_limit_zero_counts_nothing(capsys):
+    assert main(["find", "--order", "3", "--limit", "0", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_find_limit_prints_the_first_blocks_of_the_full_output(capsys):
+    assert main(["find", "--order", "4"]) == 0
+    full = capsys.readouterr().out
+    assert main(["find", "--order", "4", "--limit", "3"]) == 0
+    blocks = full.split("\n\n")
+    assert capsys.readouterr().out == "\n\n".join(blocks[:3]) + "\n"
+
+
 def test_find_up_to_iso_above_the_canonical_bound_exits_before_searching(monkeypatch, capsys):
     monkeypatch.setenv("QUASILAB_MAX_ORDER", "17")
     monkeypatch.setattr(search, "_search", lambda opts: pytest.fail("searched"))

@@ -31,6 +31,7 @@ from quasilab import (
 )
 from quasilab import Permutation, search
 from quasilab.identities import BinOp, Identity, LDIV, MUL, RDIV, Var
+from quasilab.quasigroup import _table_key
 from oracles import all_latin_squares, holds_bruteforce, naive_canonical_form
 
 
@@ -200,6 +201,29 @@ def test_limit():
     assert [m.key() for m in models] == [m.key() for m in again]
 
 
+def test_limit_zero_keeps_nothing():
+    opts = SearchOptions(3, limit=0)
+    assert count(opts) == 0
+    assert find_all(opts) == []
+    assert search._search(opts) == []
+
+
+@pytest.mark.parametrize("name", [None, *builtin_names()])
+def test_search_yields_models_in_table_order(name):
+    idents = () if name is None else (builtin(name),)
+    for n in range(1, 5):
+        keys = [_table_key(t) for t in search._search(SearchOptions(n, idents))]
+        assert all(a < b for a, b in zip(keys, keys[1:])), f"{name} at order {n}"
+
+
+@pytest.mark.parametrize("name", [None, "neumann"])
+@pytest.mark.parametrize("limit", [0, 1, 3, 17])
+def test_limit_keeps_the_lex_first_models(name, limit):
+    idents = () if name is None else (builtin(name),)
+    full = [q.key() for q in find_all(SearchOptions(4, idents))]
+    assert [q.key() for q in find_all(SearchOptions(4, idents, limit=limit))] == full[:limit]
+
+
 def test_soundness_recheck():
     for q in find_all(SearchOptions(order=5, identities=(builtin("neumann"),))):
         assert holds(q, builtin("neumann"))
@@ -366,6 +390,15 @@ def test_neumann_order_6_branching_nodes_bounded(caplog):
     opts = SearchOptions(order=6, identities=(builtin("neumann"),), progress_interval=1)
     nodes = sum(r.levelno == logging.INFO for r in _search_log(caplog, opts))
     assert 0 < nodes <= 5000
+
+
+@pytest.mark.parametrize("opts, most", [
+    (SearchOptions(6, (builtin("eq5"),), progress_interval=1), 8_000),
+    (SearchOptions(5, limit=8_000, progress_interval=1), 20_000),
+])
+def test_branching_nodes_bounded(caplog, opts, most):
+    nodes = sum(r.levelno == logging.INFO for r in _search_log(caplog, opts))
+    assert 0 < nodes <= most
 
 
 def test_search_summary_is_one_debug_record(caplog):
