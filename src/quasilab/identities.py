@@ -16,17 +16,27 @@ Every identity is compiled once, on first use, into :attr:`Identity.program`:
 post-order code of ``(op, left_slot, right_slot)`` instructions over the
 variable slots ``0..k-1`` (variables in first-occurrence order), in which
 repeated subterms share a slot.  ``_run`` is the only evaluator; it executes
-that code by table lookups on whatever the variable slots hold.  ``holds``
-and ``counterexample`` give it sparse index grids, so each intermediate spans
-only the variables it uses; ``eval_term`` gives it scalars; the model search
-gives it flattened full grids and sentinel-padded partial tables.
+that code by table lookups on whatever the variable slots hold.  ``eval_term``
+gives it scalars; the model search gives it flattened full grids and
+sentinel-padded partial tables.
+
+``holds``, ``counterexample`` and ``_first_violation`` give it sparse index
+grids, so each intermediate spans only the variables it uses, one block of
+the n^k assignments at a time (``_blocks``).  A block spans at most
+``BLOCK_CELLS`` cells, so an evaluation holds one block's intermediates, not
+n^k cells.  Its lookups (``_Gather``) gather whole table rows where the two
+operands span disjoint axes, as in ``(x*y)*z`` and ``x*(y*z)``, and then the
+columns that the other operand names; operands that share an axis, as ``x``
+and ``y*x`` do, and lookups of fewer than ``GATHER_CELLS`` cells index the
+table with two broadcast index arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +76,13 @@ _OPS = (MUL, LDIV, RDIV)
 
 # Bounds the recursion of the parser and of every walker over a Term.
 MAX_TERM_DEPTH = 256
+
+# Cells of one block of an exhaustive evaluation: 2^16 cells keep each int64
+# intermediate at 512 KB, and were the fastest size at orders 16 to 64.
+BLOCK_CELLS = 2**16
+# Below this many cells, a two-index lookup is faster than a gather of rows
+# and columns, whose extra numpy calls cost a few microseconds.
+GATHER_CELLS = 2**11
 
 
 @dataclass(frozen=True)
@@ -305,26 +322,87 @@ def eval_term(q: Quasigroup, t: Term, assignment: Mapping[str, int]) -> int:
     return int(_run(prog.code, _tables(q, prog.code), values)[prog.lhs])
 
 
-def _violations(q: Quasigroup, ident: Identity) -> np.ndarray:
-    """Boolean array of shape (n,) * k, True where the identity fails.
+class _Gather:
+    """Lookups ``t[a, b]`` into one operation table over k-axis sparse
+    grids.  Where no axis is spanned by both ``a`` and ``b`` and the result
+    has at least ``GATHER_CELLS`` cells, whole rows of ``a`` and then
+    ``b``'s columns of them are gathered (or the columns first, if fewer
+    cells), and the result is a view with its axes in order; else it is a
+    two-index lookup."""
 
-    Axis i is ``ident.vars[i]``.  Each slot is evaluated over sparse index
-    grids, so an intermediate spans only the axes of the variables it uses;
-    only the final comparison is broadcast (as a view) to the full shape.
-    ``q`` is read only through ``order`` and the tables the identity looks
-    up (``table`` alone for a law in ``*``).
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __getitem__(self, ab):
+        a, b = ab
+        if a.size * b.size < GATHER_CELLS:
+            return self.table[a, b]
+        shape = []
+        for x, y in zip(a.shape, b.shape):
+            if x > 1 < y:
+                return self.table[a, b]
+            shape.append(max(x, y))
+        k = len(shape)
+        both = a.shape + b.shape
+        a, b = a.reshape(-1), b.reshape(-1)
+        out = self.table[a][:, b] if len(a) <= len(b) else self.table[:, b][a]
+        # axis i of a's shape next to axis i of b's, one of them of extent 1
+        return out.reshape(both).transpose([j for i in range(k) for j in (i, k + i)]).reshape(shape)
+
+
+def _blocks(q: Quasigroup, ident: Identity,
+            axes: Sequence[int]) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+    """The identity's violations, block by block: pairs ``(where, bad)``
+    where ``bad`` is True where the identity fails on the block ``where``
+    (one slice per axis) of the n^k assignments; axis i is
+    ``ident.vars[i]``.
+
+    ``axes`` orders the k axes from slowest to fastest.  A block spans at
+    most ``BLOCK_CELLS`` cells: the leading axes of ``axes`` are cut into
+    single values while one value of them spans more cells than that, the
+    next into slices as wide as the budget allows, and the others are
+    whole.  Blocks come in the order of ``axes``, so the first block with a
+    violation holds the first violation in that order.
+
+    Each slot is evaluated over sparse index grids, so an intermediate
+    spans only the axes of the variables it uses; only the final
+    comparison is broadcast (as a view) to the block's shape.  ``q`` is
+    read only through ``order`` and the tables the identity looks up
+    (``table`` alone for a law in ``*``).
     """
     n = q.order
-    _check_cells(n, len(ident.vars))
-    shape = (n,) * len(ident.vars)
+    k = len(ident.vars)
+    _check_cells(n, k)
     prog = ident.program
-    vals = _run(prog.code, _tables(q, prog.code), np.indices(shape, sparse=True))
-    return np.broadcast_to(vals[prog.lhs] != vals[prog.rhs], shape)
+    grids = np.indices((n,) * k, sparse=True)
+    cuts = []       # (axis, values per block), slowest first
+    rest = n**k
+    for a in axes:
+        if rest <= BLOCK_CELLS:
+            break
+        rest //= n
+        cuts.append((a, max(1, BLOCK_CELLS // rest)))
+    tables = {op: _Gather(t) for op, t in _tables(q, prog.code).items()}
+    where = [slice(0, n)] * k
+    shape = [n] * k
+    for starts in itertools.product(*(range(0, n, step) for _, step in cuts)):
+        block = list(grids)
+        for (a, step), lo in zip(cuts, starts):
+            where[a] = slice(lo, min(lo + step, n))
+            shape[a] = where[a].stop - lo
+            block[a] = grids[a][(slice(None),) * a + (where[a],)]
+        vals = _run(prog.code, tables, block)
+        yield tuple(where), np.broadcast_to(vals[prog.lhs] != vals[prog.rhs], shape)
 
 
 def holds(q: Quasigroup, ident: Identity) -> bool:
-    """True iff the identity is satisfied under all n^k assignments."""
-    return not _violations(q, ident).any()
+    """True iff the identity is satisfied under all n^k assignments.
+
+    The assignments are evaluated in blocks of at most ``BLOCK_CELLS``
+    cells (see ``_blocks``), and the first block with a violation ends the
+    check.
+    """
+    return not any(bad.any() for _, bad in _blocks(q, ident, range(len(ident.vars))))
 
 
 class _Stack:
@@ -362,22 +440,30 @@ def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
     """First failing assignment, or None if the identity holds.
 
     Assignments are enumerated with the first variable of ``ident.vars``
-    cycling fastest (like the least significant digit of a counter).
+    cycling fastest (like the least significant digit of a counter).  The
+    blocks of ``_blocks`` come in that order, the last variable slowest, so
+    the first block with a violation holds the first one, and the blocks
+    after it are not evaluated.
     """
-    bad = _violations(q, ident)
-    if not bad.any():
-        return None
-    # Fortran order makes axis 0 (the first variable) the fastest.
-    first = np.unravel_index(int(np.argmax(bad.ravel(order="F"))), bad.shape, order="F")
-    return {v: int(i) for v, i in zip(ident.vars, first)}
+    for where, bad in _blocks(q, ident, range(len(ident.vars) - 1, -1, -1)):
+        if bad.any():
+            # Fortran order makes axis 0 (the first variable) the fastest.
+            first = np.unravel_index(int(np.argmax(bad.ravel(order="F"))), bad.shape, order="F")
+            return {v: w.start + int(i) for v, w, i in zip(ident.vars, where, first)}
+    return None
 
 
 def _first_violation(q: Quasigroup, ident: Identity) -> Optional[tuple[int, ...]]:
     """First failing assignment in C order (the first variable of
-    ``ident.vars`` slowest, the last fastest) as a tuple, or None."""
-    bad = _violations(q, ident)
-    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return tuple(int(i) for i in first) if bad[first] else None
+    ``ident.vars`` slowest, the last fastest) as a tuple, or None.  The
+    blocks of ``_blocks`` come in that order, so the first block with a
+    violation holds the first one, and the blocks after it are not
+    evaluated."""
+    for where, bad in _blocks(q, ident, range(len(ident.vars))):
+        if bad.any():
+            first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return tuple(w.start + int(i) for w, i in zip(where, first))
+    return None
 
 
 # -- builtin catalog -----------------------------------------------------------------

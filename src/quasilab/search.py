@@ -35,7 +35,8 @@ Two leaves first differ at the cell where their paths split, and the
 smaller symbol there is tried first, so the models come out in table
 (``_table_key``) order with no sort, and ``limit`` keeps the
 lexicographically first ``limit`` of them.  Each leaf is copied once, into
-the int64 array that its ``Quasigroup`` then wraps.
+the int64 array that its ``Quasigroup`` then wraps; ``count`` only counts
+the leaves and copies none.
 
 Up to isomorphism, one pass over the models keeps the lex-first model of
 each class.  Each model is labeled once along its first generator sequence
@@ -168,6 +169,15 @@ def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
 def _search(opts: SearchOptions) -> list[np.ndarray]:
     """The models in table order, at most ``opts.limit`` of them, as int64
     (n, n) arrays."""
+    found: list[np.ndarray] = []
+    _walk(opts, found)
+    return found
+
+
+def _walk(opts: SearchOptions, found: Optional[list]) -> int:
+    """Run the search and return the number of models, at most
+    ``opts.limit``; append each, in table order, to ``found`` as an int64
+    (n, n) array unless ``found`` is None."""
     start = time.perf_counter()
     n = opts.order
     pad = n + 1
@@ -185,9 +195,8 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
     trail: list[tuple[int, int, int]] = []
     progs = [(ident.program, tuple(g.ravel() for g in np.indices((n,) * len(ident.vars))))
              for ident in opts.identities]
-    found: list[np.ndarray] = []
     limit = opts.limit
-    nodes = forced = prunes = 0
+    models = nodes = forced = prunes = 0
     interval = opts.progress_interval
 
     def assign(r: int, c: int, v: int) -> bool:
@@ -267,14 +276,16 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
     def dfs(pos: int) -> None:
         """Branch on the first empty cell at or after ``pos`` (row-major),
         smallest symbol first, so leaves come in table order."""
-        nonlocal nodes
+        nonlocal models, nodes
         r, c = divmod(pos, n)
         while r < n and cells[r][c] >= 0:
             c += 1
             if c == n:
                 r, c = r + 1, 0
         if r == n:
-            found.append(np.array(cells, dtype=np.int64))
+            models += 1
+            if found is not None:
+                found.append(np.array(cells, dtype=np.int64))
             return
         pos = r * n + c
         m = full & ~(row_mask[r] | col_mask[c])
@@ -285,18 +296,18 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
             assign(r, c, v)
             nodes += 1
             if interval and nodes % interval == 0:
-                log.info("search order %d: %d nodes, %d models", n, nodes, len(found))
+                log.info("search order %d: %d nodes, %d models", n, nodes, models)
             if propagate(mark):
                 dfs(pos + 1)
             undo(mark)
-            if len(found) == limit:
+            if models == limit:
                 return
 
     if limit != 0 and propagate(0):
         dfs(0)
     log.debug("search order %d: %d nodes, %d forced cells, %d prunes, %d models in %.3f s",
-              n, nodes, forced, prunes, len(found), time.perf_counter() - start)
-    return found
+              n, nodes, forced, prunes, models, time.perf_counter() - start)
+    return models
 
 
 def _full_check(t: np.ndarray, identities: Sequence[Identity]) -> None:
@@ -357,11 +368,12 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
 
 
 def count(opts: SearchOptions, max_order: Optional[int] = None) -> int:
-    """Number of satisfying tables, without wrapping them in Quasigroups."""
+    """Number of satisfying tables, counted as the search reaches them,
+    without keeping them (up to isomorphism, the classes of ``find_all``)."""
     if opts.up_to_isomorphism:
         return len(find_all(opts, max_order=max_order))
     _check_bounds(opts, max_order)
-    return len(_search(opts))
+    return _walk(opts, None)
 
 
 @dataclass(frozen=True)

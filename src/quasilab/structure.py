@@ -30,7 +30,7 @@ import numpy as np
 
 from .abelian import AUTOMORPHISM_MAX_ORDER, AbelianGroup, recover_group
 from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
-from .identities import _first_violation, _violations, builtin, holds
+from .identities import _blocks, _first_violation, builtin, holds
 from .permutations import Permutation, orbit
 from .quasigroup import Quasigroup, _check_degree, _Labeled, _labelings, _table_key
 
@@ -308,13 +308,14 @@ _NUCLEUS_AXIS = {"left": 0, "middle": 1, "right": 2}
 
 def nuclei(q: Quasigroup) -> dict[str, set[int]]:
     """Left, middle and right nucleus from one evaluation of the catalog's
-    associative law (x*y)*z = x*(y*z): the x, y or z at which it never fails."""
-    bad = _violations(q, builtin("associative"))
-    out = {}
-    for side, axis in _NUCLEUS_AXIS.items():
-        fails = bad.any(axis=tuple(i for i in range(3) if i != axis))
-        out[side] = {int(a) for a in np.flatnonzero(~fails)}
-    return out
+    associative law (x*y)*z = x*(y*z): the x, y or z at which it never
+    fails, found block by block."""
+    fails = np.zeros((3, q.order), dtype=bool)
+    for where, bad in _blocks(q, builtin("associative"), range(3)):
+        for axis in range(3):
+            fails[axis, where[axis]] |= bad.any(axis=tuple(i for i in range(3) if i != axis))
+    return {side: {int(a) for a in np.flatnonzero(~fails[axis])}
+            for side, axis in _NUCLEUS_AXIS.items()}
 
 
 def nucleus(q: Quasigroup, side: str) -> set[int]:

@@ -55,6 +55,18 @@ def first_failure_bruteforce(table, ident: Identity):
     return None
 
 
+def first_failure_lex(table, ident: Identity):
+    """Lexicographically first failing assignment (the first variable
+    slowest) as a tuple in the order of ``ident.vars``."""
+    n = len(table)
+    vs = ident.vars
+    for combo in itertools.product(range(n), repeat=len(vs)):
+        env = dict(zip(vs, combo))
+        if eval_term_scalar(table, ident.lhs, env) != eval_term_scalar(table, ident.rhs, env):
+            return combo
+    return None
+
+
 def holds_bruteforce(table, ident: Identity) -> bool:
     return first_failure_bruteforce(table, ident) is None
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,27 @@ def test_analyze_order_one(tmp_path, capsys):
     assert report["order"] == 1
     assert report["autotopy_count"] == 1
     assert report["ga"]["ga"] is True
+
+
+def test_analyze_of_the_largest_input_stays_small(tmp_path):
+    # Z2^6 is order 64, the largest analyze admits; its 4-variable laws span
+    # 64^4 cells, which an evaluation of all of them at once held as int64
+    # intermediates of 128 MiB each.  ru_maxrss of the children of a
+    # wrapper process is the peak of the analyze process alone.
+    path = tmp_path / "z2_6_sub.tbl"
+    path.write_text(format_table(subtraction_quasigroup(parse_group_spec("Z2xZ2xZ2xZ2xZ2xZ2"))))
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'quasilab', 'analyze', sys.argv[1]],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", wrapper, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024     # ru_maxrss is in KB on Linux
+    assert peak_mb < 100, peak_mb
 
 
 # -- construct ------------------------------------------------------------------------

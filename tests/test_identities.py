@@ -28,10 +28,16 @@ from quasilab import (
     parse_term,
     subtraction_quasigroup,
 )
-from quasilab import abelian, quasigroup, search, structure
-from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity
+from quasilab import abelian, identities, quasigroup, search, structure
+from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity, _first_violation
 from conftest import addition_table
-from oracles import first_failure_bruteforce, holds_bruteforce
+from oracles import (
+    all_latin_squares,
+    first_failure_bruteforce,
+    first_failure_lex,
+    holds_bruteforce,
+    naive_nucleus,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -192,6 +198,54 @@ def test_holds_matches_bruteforce(name, n):
         assert counterexample(q, ident) == first_failure_bruteforce(q.to_lists(), ident)
 
 
+_SMALL_LATIN = [sq for n in range(1, 5) for sq in all_latin_squares(n)]
+
+
+def _block_settings(n: int, k: int) -> list[tuple[int, int]]:
+    """(BLOCK_CELLS, GATHER_CELLS) pairs for an order-n, k-variable law.
+    The blocks hold one value of the first axis, two values of it (ragged
+    at odd n), one value of the first axis and two of the second (ragged
+    at odd n) and, below order 4, where it is cheap, single cells.  Every
+    lookup of operands with disjoint axes gathers rows and columns, and
+    the single-cell blocks are also run with two-index lookups only."""
+    settings = [(n ** (k - 1) + 1, 0), (2 * n ** (k - 1) + 1, 0), (2 * n ** (k - 2) + 1, 0)]
+    if n < 4:
+        settings += [(1, 0), (1, n**k + 1)]
+    return settings
+
+
+def _patch_blocks(monkeypatch, setting: tuple[int, int]) -> None:
+    monkeypatch.setattr(identities, "BLOCK_CELLS", setting[0])
+    monkeypatch.setattr(identities, "GATHER_CELLS", setting[1])
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_blocked_evaluation_matches_bruteforce(name, monkeypatch):
+    # every catalog law, including those with a bare variable on a cut axis
+    # (commutative, unipotent, neumann's y*x), on every Latin square of
+    # orders 1-4, with blocks from single cells up to ragged slices
+    ident = builtin(name)
+    k = len(ident.vars)
+    for table in _SMALL_LATIN:
+        q = Quasigroup(table)
+        cx = first_failure_bruteforce(table, ident)
+        lex = first_failure_lex(table, ident)
+        for setting in _block_settings(q.order, k):
+            _patch_blocks(monkeypatch, setting)
+            assert holds(q, ident) == (cx is None), (table, setting)
+            assert counterexample(q, ident) == cx, (table, setting)
+            assert _first_violation(q, ident) == lex, (table, setting)
+
+
+def test_blocked_nuclei_match_bruteforce(monkeypatch):
+    for table in _SMALL_LATIN:
+        q = Quasigroup(table)
+        expected = {side: naive_nucleus(table, side) for side in ("left", "middle", "right")}
+        for setting in _block_settings(q.order, 3):
+            _patch_blocks(monkeypatch, setting)
+            assert structure.nuclei(q) == expected, (table, setting)
+
+
 def test_holds_memory_stays_below_three_full_grids():
     # Intermediates span only the variables they use; a full int64 grid of
     # all n^4 assignments is 2.5 MiB at n = 24.
@@ -205,6 +259,20 @@ def test_holds_memory_stays_below_three_full_grids():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n**4 * 8
+
+
+def test_holds_memory_is_held_to_a_block():
+    # Z48 medial spans 48^4 cells, 40.5 MiB per full int64 grid; a block
+    # of BLOCK_CELLS = 2^16 cells is 512 KiB
+    q = subtraction_quasigroup(cyclic(48))
+    medial = builtin("medial")
+    tracemalloc.start()
+    try:
+        assert holds(q, medial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_evaluation_budget_refuses_before_allocating():

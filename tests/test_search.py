@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,33 @@ def test_limit_zero_keeps_nothing():
     assert count(opts) == 0
     assert find_all(opts) == []
     assert search._search(opts) == []
+
+
+@pytest.mark.parametrize("name", [None, *builtin_names()])
+def test_count_equals_the_number_of_models_found(name):
+    idents = () if name is None else (builtin(name),)
+    for n in range(1, 5):
+        for limit in (None, 0, 1, 17):
+            opts = SearchOptions(n, idents, limit=limit)
+            assert count(opts) == len(find_all(opts)), (n, limit)
+
+
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_keeps_no_table():
+    # keeping each of the 576 models would cost at least its 16 int64
+    # cells, 128 bytes; allow an eighth of that
+    count(SearchOptions(4))         # warm up
+    every = _traced_peak(lambda: count(SearchOptions(4)))
+    first = _traced_peak(lambda: count(SearchOptions(4, limit=1)))
+    assert every - first < 576 * 16, (every, first)
 
 
 @pytest.mark.parametrize("name", [None, *builtin_names()])
