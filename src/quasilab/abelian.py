@@ -218,7 +218,7 @@ def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER)
     n = g.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    return [Permutation(alpha.tolist()) for alpha in _Labeled(g.table).images]
+    return Permutation.rows(_Labeled(g.table).images)
 
 
 def subtraction_quasigroup(g: AbelianGroup) -> Quasigroup:

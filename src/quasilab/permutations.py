@@ -1,6 +1,11 @@
 """Permutations of {0..n-1}: composition, inversion, orbits.
 
 Used throughout for translations, isotopies, autotopies and automorphisms.
+A single permutation is checked and stored by its constructor; a whole group
+listed as a 2-D image array becomes permutations in one pass,
+``Permutation.rows``, which checks every row at once and keeps only each
+row's image tuple.  The numpy form of a permutation, ``array``, is built on
+first use.
 """
 
 from __future__ import annotations
@@ -35,14 +40,44 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
+    @classmethod
+    def rows(cls, images: np.ndarray) -> list["Permutation"]:
+        """One permutation per row of a 2-D integer image array, in row order.
+
+        Every row is checked to be a bijection by one vectorised test before
+        any element is built; each element then holds only its image tuple.
+        """
+        arr = np.asarray(images)
+        # an empty array has no row to sort; structure.pseudoautomorphisms
+        # passes one for most companions
+        if (arr.ndim != 2 or arr.dtype.kind not in "iu"
+                or (arr.size and not (np.sort(arr, axis=1) == np.arange(arr.shape[1])).all())):
+            raise ValueError(f"not a 2-D integer array of bijections, shape {arr.shape}")
+        new = object.__new__
+        perms = []
+        for row in arr.tolist():
+            p = new(cls)
+            p._image = tuple(row)
+            perms.append(p)
+        return perms
+
     @property
     def image(self) -> tuple[int, ...]:
         return self._image
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only numpy view, handy for table indexing."""
-        return self._array
+        """Read-only int64 images, handy for table indexing.
+
+        Built from the image tuple on first use when the permutation came
+        from ``rows``; the constructor keeps the array it checked.
+        """
+        arr = getattr(self, "_array", None)
+        if arr is None:
+            arr = np.array(self._image, dtype=np.int64)
+            arr.setflags(write=False)
+            self._array = arr
+        return arr
 
     @property
     def degree(self) -> int:
@@ -54,10 +89,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degree")
-        return Permutation(self._array[other._array])
+        return Permutation(self.array[other.array])
 
     def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self._array))
+        return Permutation(np.argsort(self.array))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self._image))

@@ -146,7 +146,7 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
     _check_order(q, max_order, "automorphism")
-    return [Permutation(alpha.tolist()) for alpha in q.labeled.images]
+    return Permutation.rows(q.labeled.images)
 
 
 def automorphism_count(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> int:
@@ -237,8 +237,8 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
             target = q.rdiv_table[tab[:, tab[:, c]], c]
         else:
             target = q.ldiv_table[c][tab[tab[c]]]
-        found.extend(PseudoautomorphismWitness(Permutation(theta.tolist()), c, side)
-                     for theta in source.isomorphisms(target))
+        found.extend(PseudoautomorphismWitness(theta, c, side)
+                     for theta in Permutation.rows(source.isomorphisms(target)))
     found.sort(key=lambda w: (w.theta.image, w.companion))
     return found
 

@@ -179,6 +179,10 @@ def test_automorphism_group_of_a_relabeled_group_matches_hillar_rhea(g):
     assert all(a < b for a, b in zip(imgs, imgs[1:]))      # sorted, so distinct
     rows = np.array(imgs, dtype=np.int64).reshape(len(imgs), n)
     assert (np.sort(rows, axis=1) == np.arange(n)).all()
+    # the lazily built arrays, which is_autotopy, decompose_autotopy and relabel read
+    arrays = np.array([p.array for p in auts]).reshape(len(auts), n)
+    assert arrays.dtype == np.int64 and (arrays == rows).all()
+    assert not any(p.array.flags.writeable for p in auts)
     for start in range(0, len(rows), 1024):
         th = rows[start:start + 1024]
         assert (th[:, table] == table[th[:, :, None], th[:, None, :]]).all()

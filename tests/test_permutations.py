@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,3 +51,44 @@ def test_orbit_closure():
     assert orbit(0, [swap01, swap23]) == {0, 1}
     cycle = Permutation([1, 2, 3, 0])
     assert orbit(0, [cycle]) == {0, 1, 2, 3}
+
+
+@st.composite
+def image_arrays(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.permutations(list(range(n))), max_size=6))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    return np.array(rows, dtype=dtype).reshape(len(rows), n)
+
+
+@given(image_arrays())
+def test_rows_match_one_permutation_per_row(images):
+    perms = Permutation.rows(images)
+    singles = [Permutation(row) for row in images]
+    assert len(perms) == len(singles)
+    for p, s, row in zip(perms, singles, images.tolist()):
+        assert p == s and hash(p) == hash(s)
+        assert p.image == s.image == tuple(row)
+        arr = p.array
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert (arr == s.array).all()
+        assert p.array is arr                     # built once
+        assert p.inverse() == s.inverse()
+        for t, u in zip(perms, singles):
+            assert (p < t) == (s < u)
+            assert p * t == s * u and p * u == s * t
+
+
+def test_rows_reject_anything_but_rows_of_bijections():
+    with pytest.raises(ValueError):
+        Permutation.rows(np.array([[0, 1, 2], [0, 0, 2]]))    # repeated symbol
+    with pytest.raises(ValueError):
+        Permutation.rows(np.array([[0, 1, 2], [1, 2, 3]]))    # symbol out of range
+    with pytest.raises(ValueError):
+        Permutation.rows(np.array([0, 1, 2]))                 # one row, not a 2-D array
+    with pytest.raises(ValueError):
+        Permutation.rows(np.array([[0.0, 1.0]]))              # not integers
+
+
+def test_rows_of_an_empty_array():
+    assert Permutation.rows(np.empty((0, 5), dtype=np.int64)) == []
