@@ -23,7 +23,8 @@ from .search import SearchOptions, count as count_models, find_all
 from .tables import format_table, parse_group_spec, read_table
 from .verification import run_verification
 
-# Branching nodes between progress records under --verbose.
+# Search nodes (branching assignments, or placed rows with no identity)
+# between progress records under --verbose.
 VERBOSE_PROGRESS_INTERVAL = 1000
 
 

@@ -1,10 +1,22 @@
 """Exhaustive enumeration of quasigroups satisfying identities.
 
-Backtracking Latin-square completion with forced-cell propagation, with the
-cell order and forcing of SEM (J. Zhang & H. Zhang, IJCAI 1995) and Mace4
-(W. McCune, ANL/MCS-TM-264, 2003).  Cells carry candidate bitmasks derived
-from row/column used-symbol masks.  The search branches on the first empty
-cell in row-major order and tries its candidates in ascending order.
+There are two walks, and the identities of the search pick one.
+
+With no identity, ``_row_walk`` places rows 0 to n - 2 one after another,
+each filled column by column with bitmasks against the column masks,
+smallest symbol first; a prefix with no candidate for its next cell ends
+its branch.  Nothing needs propagating: by M. Hall Jr.'s theorem (Bull.
+AMS 51, 1945) every k x n Latin rectangle extends to a Latin square, so no
+branch can fail across rows, and the last row is computed directly as each
+column's one missing symbol.  A node is one row placed by branching.
+
+With identities, ``_propagating_walk`` is a backtracking Latin-square
+completion with forced-cell propagation, with the cell order and forcing of
+SEM (J. Zhang & H. Zhang, IJCAI 1995) and Mace4 (W. McCune,
+ANL/MCS-TM-264, 2003).  Cells carry candidate bitmasks derived from
+row/column used-symbol masks.  The search branches on the first empty cell
+in row-major order and tries its candidates in ascending order; a node is
+one branching assignment.
 
 Each identity's compiled form (``Identity.program``, the post-order code that
 ``holds`` and ``eval_term`` also run) is evaluated by the same evaluator over
@@ -29,10 +41,12 @@ Every write, branch or forced, goes through one assignment on a trail and
 is undone on backtrack.  Propagation only removes completions that violate
 an identity or the Latin property, so the models are exactly those of a
 naive filter over all Latin squares (tested at small orders), and each one
-is re-checked with the exhaustive evaluator before it is returned.
+is re-checked with the exhaustive evaluator before it is returned.  With a
+tautology such as ``x*y = x*y`` it enumerates every Latin square, which is
+the oracle the row walk is tested against.
 
-Two leaves first differ at the cell where their paths split, and the
-smaller symbol there is tried first, so the models come out in table
+In both walks two leaves first differ at the cell where their paths split,
+and the smaller symbol there is tried first, so the models come out in table
 (``_table_key``) order with no sort, and ``limit`` keeps the
 lexicographically first ``limit`` of them.  Each leaf is copied once, into
 the int64 array that its ``Quasigroup`` then wraps; ``count`` only counts
@@ -177,8 +191,84 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
 def _walk(opts: SearchOptions, found: Optional[list]) -> int:
     """Run the search and return the number of models, at most
     ``opts.limit``; append each, in table order, to ``found`` as an int64
-    (n, n) array unless ``found`` is None."""
+    (n, n) array unless ``found`` is None.
+
+    With no identity the search is ``_row_walk``, which needs no
+    propagation; with identities it is ``_propagating_walk``.  Either walk
+    logs every ``opts.progress_interval``-th node at INFO, and one DEBUG
+    record sums up the search.
+    """
     start = time.perf_counter()
+    walk = _propagating_walk if opts.identities else _row_walk
+    models, nodes, forced, prunes = walk(opts, found) if opts.limit != 0 else (0, 0, 0, 0)
+    log.debug("search order %d: %d nodes, %d forced cells, %d prunes, %d models in %.3f s",
+              opts.order, nodes, forced, prunes, models, time.perf_counter() - start)
+    return models
+
+
+def _row_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, int, int, int]:
+    """The identity-free search of the module docstring: ``(models, nodes,
+    forced cells, prunes)``.  A node is one row placed by branching, a prune
+    a row prefix with no candidate for its next cell, and the forced cells
+    are the n cells of each computed last row."""
+    n = opts.order
+    full = (1 << n) - 1
+    last = n - 1
+    limit = opts.limit
+    interval = opts.progress_interval
+    col = [0] * n                   # the symbols each column's placed rows use
+    table = [[0] * n for _ in range(n)]
+    models = nodes = prunes = 0
+
+    def place(r: int) -> bool:
+        """Place rows r to n - 1 in every way, in table order; True once
+        ``limit`` models are found."""
+        nonlocal models, nodes, prunes
+        if r == last:
+            models += 1
+            if found is not None:
+                table[last] = [(full ^ m).bit_length() - 1 for m in col]
+                found.append(np.array(table, dtype=np.int64))
+            return models == limit
+        row = table[r]
+        rest = [0] * n              # the candidates not yet tried in each column
+        used = [0] * n              # the symbols of the row left of each column
+        c = 0
+        m = full & ~col[0]
+        while True:
+            if m:
+                bit = m & -m
+                row[c] = bit.bit_length() - 1
+                if c < last:
+                    rest[c] = m ^ bit
+                    col[c] |= bit
+                    c += 1
+                    used[c] = u = used[c - 1] | bit
+                    m = full & ~(u | col[c])
+                    if not m:
+                        prunes += 1
+                    continue
+                # the last cell of a row has at most this one candidate
+                col[c] |= bit
+                nodes += 1
+                if interval and nodes % interval == 0:
+                    log.info("search order %d: %d nodes, %d models", n, nodes, models)
+                if place(r + 1):
+                    return True
+                col[c] ^= bit
+            c -= 1
+            if c < 0:
+                return False
+            col[c] ^= 1 << row[c]
+            m = rest[c]
+
+    place(0)
+    return models, nodes, n * models, prunes
+
+
+def _propagating_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, int, int, int]:
+    """The search with identities: ``(models, nodes, forced cells, prunes)``.
+    A node is one branching assignment; forced cells are not nodes."""
     n = opts.order
     pad = n + 1
     full = (1 << n) - 1
@@ -204,10 +294,9 @@ def _walk(opts: SearchOptions, found: Optional[list]) -> int:
         if cells[r][c] >= 0 or (row_mask[r] | col_mask[c]) & bit:
             return False
         cells[r][c] = v
-        if progs:       # only identity propagation reads the numpy tables
-            mul[r, c] = v
-            ldiv[r, v] = c
-            rdiv[v, c] = r
+        mul[r, c] = v
+        ldiv[r, v] = c
+        rdiv[v, c] = r
         row_mask[r] |= bit
         col_mask[c] |= bit
         trail.append((r, c, v))
@@ -218,8 +307,7 @@ def _walk(opts: SearchOptions, found: Optional[list]) -> int:
             r, c, v = trail.pop()
             bit = ~(1 << v)
             cells[r][c] = -1
-            if progs:
-                mul[r, c] = ldiv[r, v] = rdiv[v, c] = n
+            mul[r, c] = ldiv[r, v] = rdiv[v, c] = n
             row_mask[r] &= bit
             col_mask[c] &= bit
 
@@ -303,11 +391,9 @@ def _walk(opts: SearchOptions, found: Optional[list]) -> int:
             if models == limit:
                 return
 
-    if limit != 0 and propagate(0):
+    if propagate(0):
         dfs(0)
-    log.debug("search order %d: %d nodes, %d forced cells, %d prunes, %d models in %.3f s",
-              n, nodes, forced, prunes, models, time.perf_counter() - start)
-    return models
+    return models, nodes, forced, prunes
 
 
 def _full_check(t: np.ndarray, identities: Sequence[Identity]) -> None:
@@ -369,7 +455,12 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
 
 def count(opts: SearchOptions, max_order: Optional[int] = None) -> int:
     """Number of satisfying tables, counted as the search reaches them,
-    without keeping them (up to isomorphism, the classes of ``find_all``)."""
+    without keeping them (up to isomorphism, the classes of ``find_all``).
+
+    With no identity this is the row walk, which counts each placement of
+    rows 0 to n - 2 as one model and builds no last row: the 161,280 Latin
+    squares of order 5 take 232,920 nodes.
+    """
     if opts.up_to_isomorphism:
         return len(find_all(opts, max_order=max_order))
     _check_bounds(opts, max_order)

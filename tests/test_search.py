@@ -62,6 +62,25 @@ def test_census_counts_match_known_values():
         assert len(all_latin_squares(n)) == expected
 
 
+def test_order_5_census():
+    assert count(SearchOptions(order=5)) == 161_280
+
+
+@pytest.mark.parametrize("n, limit", [
+    *((n, None) for n in range(1, 5)),
+    (5, 3000),
+    *((n, 200) for n in range(6, 10)),
+])
+def test_row_walk_equals_the_propagating_walk(n, limit):
+    # a tautology sends the search through the propagating walk
+    tautology = (parse_identity("x*y = x*y"),)
+    rows = search._search(SearchOptions(n, limit=limit))
+    propagated = search._search(SearchOptions(n, tautology, limit=limit))
+    assert len(rows) == len(propagated)
+    for a, b in zip(rows, propagated):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_census_equals_naive_enumeration_order_4():
     models = {m.key() for m in find_all(SearchOptions(order=4))}
     naive = {
@@ -430,8 +449,10 @@ def test_branching_nodes_bounded(caplog, opts, most):
 
 
 def test_search_summary_is_one_debug_record(caplog):
-    opts = SearchOptions(order=4, identities=(builtin("neumann"),))
-    (summary,) = _search_log(caplog, opts)
-    assert summary.levelno == logging.DEBUG
-    for word in ("nodes", "forced cells", "prunes", "models", " s"):
-        assert word in summary.getMessage()
+    # one for each walk: with an identity and with none
+    for opts in (SearchOptions(4, (builtin("neumann"),)), SearchOptions(4)):
+        caplog.clear()
+        (summary,) = _search_log(caplog, opts)
+        assert summary.levelno == logging.DEBUG
+        for word in ("nodes", "forced cells", "prunes", "models", " s"):
+            assert word in summary.getMessage()
