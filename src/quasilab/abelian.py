@@ -23,6 +23,7 @@ from .errors import (
     NoRightUnit,
     NotAbelianGroup,
     NotLatin,
+    NotSquare,
     OrderTooLarge,
     RepresentationMismatch,
 )
@@ -46,60 +47,41 @@ ENUMERATION_MAX_ORDER = 64
 AUTOMORPHISM_MAX_ORDER = 16
 
 
-class AbelianGroup:
-    """Immutable abelian group given by its full addition table.
+class AbelianGroup(Quasigroup):
+    """Immutable abelian group: the quasigroup of its addition table.
 
-    Construction validates the entries and every axiom (Latin, two-sided
-    unit, and the catalog's commutative and associative laws); ``zero`` and
-    the negation map are derived from the table.
+    Construction validates the table as a ``Quasigroup``, then the group
+    axioms (two-sided unit, and the catalog's commutative and associative
+    laws); ``zero`` and the negation map are derived from the table.
     """
 
-    __slots__ = ("_table", "_zero", "_neg", "factors", "label")
+    __slots__ = ("_zero", "_neg", "factors")
 
     def __init__(self, table, factors: Optional[tuple[int, ...]] = None,
                  label: Optional[str] = None):
         try:
-            arr = np.asarray(table)
-        except ValueError:
+            super().__init__(table, label=label)
+        except NotSquare:
             raise NotAbelianGroup("table shape") from None
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-            raise NotAbelianGroup("table shape")
-        n = arr.shape[0]
-        try:
-            Quasigroup._check_symbols(arr)
         except BadSymbol as exc:
             raise NotAbelianGroup(f"entries ({exc})") from None
-        arr = np.asarray(arr, dtype=np.int64)
-        try:
-            Quasigroup._check_latin(arr)
         except NotLatin as exc:
             raise NotAbelianGroup(f"Latin property ({exc})") from None
-        idx = np.arange(n)
+        arr = self.table
+        idx = np.arange(self.order)
         units = np.nonzero((arr == idx[None, :]).all(axis=1) & (arr == idx[:, None]).all(axis=0))[0]
         if not units.size:
             raise NotAbelianGroup("two-sided unit exists")
         zero = int(units[0])
-        # the catalog laws read only order and table, so self stands in for a Quasigroup
-        self._table = arr
         for axiom, law in (("commutativity", "commutative"), ("associativity", "associative")):
             bad = _first_violation(self, builtin(law))
             if bad is not None:
                 raise NotAbelianGroup(axiom, bad)
-        arr.setflags(write=False)
         neg = (arr == zero).argmax(axis=1).astype(np.int64)
         neg.setflags(write=False)
         self._zero = zero
         self._neg = neg
         self.factors = factors
-        self.label = label
-
-    @property
-    def order(self) -> int:
-        return int(self._table.shape[0])
-
-    @property
-    def table(self) -> np.ndarray:
-        return self._table
 
     @property
     def zero(self) -> int:
@@ -111,20 +93,10 @@ class AbelianGroup:
         return self._neg
 
     def add(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
+        return int(self.table[a, b])
 
     def negate(self, a: int) -> int:
         return int(self._neg[a])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AbelianGroup)
-            and self.order == other.order
-            and bool((self._table == other._table).all())
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._table.tobytes())
 
     def __repr__(self) -> str:
         tag = self.label or f"order {self.order}"

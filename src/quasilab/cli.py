@@ -84,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     v = sub.add_parser("verify-paper", help="run the built-in claim verification suite")
-    v.add_argument("--max-autotopy-order", type=int, default=6)
-    v.add_argument("--max-construction-order", type=int, default=8)
+    v.add_argument("--max-autotopy-order", type=int)
+    v.add_argument("--max-construction-order", type=int)
     v.add_argument("--debug-mutate-rows", type=_row_pair, default=None, metavar="R1,R2",
                    help="testing hook: swap two rows in constructed tables (must cause failures)")
     return p
@@ -203,7 +203,7 @@ def _cmd_construct(args) -> int:
         q = subtraction_quasigroup(g)
         comment = f"group: {g.label} (subtraction, x*y = x - y)"
     else:
-        q = Quasigroup(g.table, label=g.label)
+        q = g
         comment = f"group: {g.label}"
     text = format_table(q, comments=[comment])
     if args.output:
@@ -215,10 +215,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the default bounds live in run_verification; pass only those the user set
+    bounds = {"max_order": args.max_order,
+              "max_autotopy_order": args.max_autotopy_order,
+              "max_construction_order": args.max_construction_order}
     report = run_verification(
-        max_order=args.max_order if args.max_order is not None else 5,
-        max_autotopy_order=args.max_autotopy_order,
-        max_construction_order=args.max_construction_order,
+        **{name: value for name, value in bounds.items() if value is not None},
         mutate_rows=args.debug_mutate_rows,
     )
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())

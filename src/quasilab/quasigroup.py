@@ -315,7 +315,7 @@ class Quasigroup:
             arr = np.asarray(rows)
         except ValueError:
             raise NotSquare("ragged rows: need a square matrix") from None
-        if arr.dtype == object or arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotSquare(f"need a nonempty square matrix, got shape {getattr(arr, 'shape', None)}")
         self._check_symbols(arr)
         table = arr.astype(np.int64)

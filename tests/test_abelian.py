@@ -23,9 +23,11 @@ from quasilab import (
     holds,
     nucleus,
     recover_group,
+    structure,
     subtraction_quasigroup,
     two_torsion,
 )
+from conftest import addition_table
 from oracles import abelian_automorphism_count, euler_phi, is_abelian_group_table
 
 
@@ -85,6 +87,29 @@ def test_bad_entries_rejected(table, axiom):
     with pytest.raises(NotAbelianGroup) as exc:
         AbelianGroup(table)
     assert exc.value.axiom.startswith(axiom)
+
+
+def test_object_entries_rejected_as_entries():
+    with pytest.raises(NotAbelianGroup) as exc:
+        AbelianGroup([[None]])
+    assert exc.value.axiom == "entries (entries must be integers, got dtype object)"
+
+
+def test_group_is_the_quasigroup_of_its_addition_table():
+    g = cyclic(5)
+    q = Quasigroup(g.table)
+    assert isinstance(g, Quasigroup)
+    assert g == q and q == g
+    assert hash(g) == hash(q)
+
+
+def test_group_owns_a_copy_of_its_table():
+    a = np.array(addition_table(4), dtype=np.int64)
+    g = AbelianGroup(a)
+    assert a.flags.writeable
+    a[0, 0] = 3
+    assert g.table[0, 0] == 0
+    assert g == cyclic(4)
 
 
 # -- isomorphism-class enumeration -------------------------------------------------
@@ -173,8 +198,10 @@ def test_automorphism_group_of_a_relabeled_group_matches_hillar_rhea(g):
     perm = np.random.default_rng(n).permutation(n)
     inv = np.argsort(perm)
     table = perm[g.table[np.ix_(inv, inv)]]
-    auts = automorphism_group(AbelianGroup(table))
+    relabeled = AbelianGroup(table)
+    auts = automorphism_group(relabeled)
     assert len(auts) == abelian_automorphism_count(g.factors)
+    assert structure.automorphisms(relabeled) == auts     # the group read as a quasigroup
     imgs = [p.image for p in auts]
     assert all(a < b for a, b in zip(imgs, imgs[1:]))      # sorted, so distinct
     rows = np.array(imgs, dtype=np.int64).reshape(len(imgs), n)

@@ -352,6 +352,21 @@ def test_verify_paper_construction_order_above_enumeration_bound(capsys):
     assert captured.err.startswith("error:") and "enumeration bound 64" in captured.err
 
 
+def test_verify_paper_passes_only_the_bounds_the_user_set(monkeypatch, capsys):
+    # the default bounds live in run_verification alone
+    import quasilab.cli
+
+    report = quasilab.cli.run_verification(max_order=0, max_autotopy_order=1,
+                                           max_construction_order=0)
+    calls = []
+    monkeypatch.setattr(quasilab.cli, "run_verification", lambda **kw: calls.append(kw) or report)
+    main(["verify-paper"])
+    main(["--max-order", "3", "verify-paper", "--max-construction-order", "4"])
+    capsys.readouterr()
+    assert calls == [{"mutate_rows": None},
+                     {"max_order": 3, "max_construction_order": 4, "mutate_rows": None}]
+
+
 def test_verify_paper_json(capsys):
     code = main([
         "--format", "json", "--max-order", "2",

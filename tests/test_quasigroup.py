@@ -101,6 +101,13 @@ def test_not_square():
         from_table(0, [])
 
 
+def test_object_entries_are_a_bad_symbol_not_a_bad_shape():
+    with pytest.raises(BadSymbol, match="entries must be integers, got dtype object"):
+        Quasigroup([[None]])
+    with pytest.raises(NotSquare, match="ragged rows"):
+        Quasigroup([[0, 1], [None]])
+
+
 def test_bad_symbol():
     with pytest.raises(BadSymbol):
         Quasigroup([[0, 2], [2, 0]])
