@@ -93,9 +93,10 @@ class AbelianGroup(Quasigroup):
         return self._neg
 
     def add(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.mul(a, b)
 
     def negate(self, a: int) -> int:
+        self._check_elem(a)
         return int(self._neg[a])
 
     def __repr__(self) -> str:

@@ -172,10 +172,13 @@ def decompose_autotopy(q: Quasigroup, t: Autotopy,
     ``a`` is read off as alpha(0), ``b`` as -beta(0) (0 meaning the group
     zero); theta is the remaining map, verified to be an automorphism and to
     reproduce all three components.  Raises :class:`NotDecomposable` if any
-    verification fails, which would contradict the structure theory, and
-    :class:`DegreeMismatch` if a component's degree is not the order of q.
+    verification fails, which would contradict the structure theory,
+    :class:`DegreeMismatch` if a component's degree is not the order of q,
+    and :class:`OrderMismatch` if ``group`` has another order than q.
     """
     _check_degree(q.order, t.alpha, t.beta, t.gamma)
+    if group is not None and group.order != q.order:
+        raise OrderMismatch(f"orders differ: {q.order} vs {group.order}")
     g = group if group is not None else recover_group(q)
     add = g.table
     zero = g.zero
@@ -191,6 +194,18 @@ def decompose_autotopy(q: Quasigroup, t: Autotopy,
     if not (t.gamma.array == add[ab][theta]).all():
         raise NotDecomposable("third component is not L+_(a+b) . theta")
     return AutotopyDecomposition(a=a, b=b, theta=Permutation(theta))
+
+
+def _subtraction_autotopies(g: AbelianGroup) -> list[Autotopy]:
+    """Every (L+_a, L+_(-b), L+_(a+b)).theta over g, sorted like
+    :func:`autotopies`: one triple per (a, b, theta), never deduplicated, so
+    it equals the autotopy list of x - y exactly when the factorisation is
+    onto and one-to-one."""
+    n = g.order
+    lt = g.table[:, g.labeled.images]        # lt[c, k] = L+_c . theta_k
+    comps = [c.reshape(-1, n) for c in np.broadcast_arrays(lt[:, None], lt[g.neg][None], lt[g.table])]
+    order = np.lexsort(np.hstack(comps).T[::-1])
+    return [Autotopy(*t) for t in zip(*(Permutation.rows(c[order]) for c in comps))]
 
 
 @dataclass(frozen=True)

@@ -147,14 +147,6 @@ def run_verification(
     def exponent_2(q: Quasigroup) -> bool:
         return bool((group_of(q).neg == np.arange(q.order)).all())
 
-    @functools.cache
-    def decomposed(q: Quasigroup) -> tuple:
-        """Every autotopy of an instance, paired with its factorisation
-        through the group; T7_C1 and L1_T11 share one decomposition each."""
-        g = group_of(q)
-        return tuple((t, structure.decompose_autotopy(q, t, group=g))
-                     for t in structure.autotopies(q, max_order=max_autotopy_order))
-
     def claim(claim_id: str, anchor: str, orders: tuple[int, ...],
               fn: Callable[[], str], vacuous: bool = False) -> None:
         if vacuous:
@@ -222,21 +214,21 @@ def run_verification(
           tuple(range(1, max(max_order, max_construction_order) + 1)), t6,
           vacuous=not search_orders and max_construction_order < 1)
 
-    # T7 + C1 -- autotopy group size, decomposition, automorphism equality
+    # T7 + C1 -- autotopy group size, bijective decomposition, automorphism equality
     def t7() -> str:
         parts = []
         for q in instances:
             n = q.order
             g = group_of(q)
+            ats = structure.autotopies(q, max_order=max_autotopy_order)
             auts = structure.automorphisms(q, max_order=max_autotopy_order)
             group_auts = automorphism_group(g)
-            pairs = decomposed(q)
             expect = n * n * len(group_auts)
-            assert len(pairs) == expect, f"{q.label}: {len(pairs)} autotopies, expected {expect}"
-            seen = {(d.a, d.b, d.theta.image) for _, d in pairs}
-            assert len(seen) == len(pairs), f"{q.label}: decomposition is not injective"
+            assert len(ats) == expect, f"{q.label}: {len(ats)} autotopies, expected {expect}"
+            assert ats == structure._subtraction_autotopies(g), \
+                f"{q.label}: autotopies are not the (L+_a, L+_(-b), L+_(a+b)).theta"
             assert set(auts) == set(group_auts), f"{q.label}: Aut(Q,*) differs from Aut(Q,+)"
-            parts.append(f"{q.label.split()[0]}:{len(pairs)}")
+            parts.append(f"{q.label.split()[0]}:{len(ats)}")
         return "autotopy counts n^2*|Aut| with bijective decompositions: " + " ".join(parts)
 
     claim("T7_C1", "autotopies factor as (L+_a, L+_(-b), L+_(a+b)).theta; Aut(Q,*) = Aut(Q,+)",
@@ -322,13 +314,14 @@ def run_verification(
             if q.order < 3:
                 continue
             g = group_of(q)
-            pairs = decomposed(q)
+            z = g.zero    # a = alpha(z) and -b = beta(z)
+            ats = structure.autotopies(q, max_order=max_autotopy_order)
             right = structure.a_pseudoautomorphisms(q, "right", max_order=max_autotopy_order)
-            minus_2b = {t.sort_key() for t, d in pairs if d.a == g.negate(g.add(d.b, d.b))}
+            minus_2b = {t.sort_key() for t in ats if t.alpha(z) == g.add(t.beta(z), t.beta(z))}
             assert {t.sort_key() for t in right} == minus_2b, \
                 f"{q.label}: beta=gamma filter differs from a = -2b"
             left = structure.a_pseudoautomorphisms(q, "left", max_order=max_autotopy_order)
-            b_zero = {t.sort_key() for t, d in pairs if d.b == g.zero}
+            b_zero = {t.sort_key() for t in ats if t.beta(z) == z}
             assert {t.sort_key() for t in left} == b_zero, \
                 f"{q.label}: alpha=gamma filter differs from b = 0"
             assert structure.component_transitive(right, 3), f"{q.label}: right side not transitive"

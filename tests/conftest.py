@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quasilab import Quasigroup, cyclic, parse_group_spec, subtraction_quasigroup
+from quasilab import (Autotopy, Permutation, Quasigroup, cyclic, parse_group_spec, structure,
+                      subtraction_quasigroup)
 
 
 def addition_table(n: int) -> np.ndarray:
@@ -50,3 +51,17 @@ def no_right_unit_q5():
     # would need e = -x, so there is no right unit.
     n = 5
     return Quasigroup([[(2 * x + y) % n for y in range(n)] for x in range(n)])
+
+
+@pytest.fixture
+def forged_autotopies(monkeypatch):
+    """``structure.autotopies`` with its last triple swapped for
+    (e, e, (0 1)), which no (L+_a, L+_(-b), L+_(a+b)).theta is: alpha = e
+    and beta = e force a = b = 0 and theta = e, so gamma = e."""
+    listed = structure.autotopies
+
+    def forged(q, **kwargs):
+        e = Permutation.identity(q.order)
+        return listed(q, **kwargs)[:-1] + [Autotopy(e, e, Permutation([1, 0, *range(2, q.order)]))]
+
+    monkeypatch.setattr(structure, "autotopies", forged)

@@ -9,6 +9,7 @@ from quasilab import (
     NoRightUnit,
     NotAbelianGroup,
     OrderTooLarge,
+    OutOfRange,
     Quasigroup,
     RepresentationMismatch,
     SearchOptions,
@@ -40,6 +41,18 @@ def test_cyclic_basics():
     assert z4.zero == 0
     assert list(z4.neg) == [0, 3, 2, 1]
     assert cyclic(1).order == 1
+
+
+@pytest.mark.parametrize("op, args", [("add", (-1, 0)), ("add", (4, 0)),
+                                      ("negate", (-1,)), ("negate", (4,))])
+def test_group_operations_refuse_elements_out_of_range(op, args):
+    with pytest.raises(OutOfRange):
+        getattr(cyclic(4), op)(*args)
+
+
+def test_group_add_wraps_around():
+    assert cyclic(4).add(3, 2) == 1
+    assert cyclic(4).negate(1) == 3
 
 
 def test_direct_product_klein():

@@ -160,6 +160,13 @@ def test_analyze_z4_subtraction(z4_sub_file, capsys):
     assert report["decomposition_ok"] is True
 
 
+def test_analyze_reports_an_autotopy_outside_the_built_group(z4_sub_file, capsys, forged_autotopies):
+    assert main(["analyze", z4_sub_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["autotopy_count"] == 32
+    assert report["decomposition_ok"] is False
+
+
 def test_analyze_z5_addition(tmp_path, capsys):
     path = tmp_path / "z5_add.tbl"
     path.write_text(format_table(Quasigroup(addition_table(5))))

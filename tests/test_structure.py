@@ -323,6 +323,27 @@ def test_decomposition_is_bijective_onto_parameters(z4_sub):
     assert len(seen) == 4 * 4 * len(auts) == 32
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_decompose_refuses_a_group_of_another_order(z5_sub, n):
+    with pytest.raises(OrderMismatch, match=f"orders differ: 5 vs {n}"):
+        decompose_autotopy(z5_sub, Autotopy.identity(5), group=parse_group_spec(f"Z{n}"))
+
+
+GROUPS_TO_7 = [g for n in range(1, 8) for g in enumerate_abelian_groups(n)]
+
+
+@pytest.mark.parametrize("g", GROUPS_TO_7, ids=lambda g: g.label)
+def test_built_group_is_the_autotopy_list(g):
+    assert structure._subtraction_autotopies(g) == autotopies(subtraction_quasigroup(g))
+
+
+@pytest.mark.parametrize("g", GROUPS_TO_7, ids=lambda g: g.label)
+def test_built_group_of_a_relabeled_table_is_its_autotopy_list(g):
+    rng = random.Random(g.label)
+    q = relabel(subtraction_quasigroup(g), Permutation(rng.sample(range(g.order), g.order)))
+    assert structure._subtraction_autotopies(recover_group(q)) == autotopies(q)
+
+
 def test_alternative_product_translation_form(z5_sub):
     """Each autotopy also factors as (L*_a, L*_Ib, L*_(a*Ib)) . (I theta)
     with the quasigroup's own left translations and I the negation."""

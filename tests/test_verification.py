@@ -23,17 +23,23 @@ def test_default_run_passes():
     assert t4.detail == "checked 41 isomorphism classes (590 tables) at orders [2, 3, 4]"
 
 
-def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
-    # T7_C1 and L1_T11 each list the autotopies of every instance once;
-    # pseudoautomorphisms and the G profile must not list them at all
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch ``structure.<name>`` to record the first argument of each call."""
     calls = []
-    listed = structure.autotopies
+    wrapped = getattr(structure, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return listed(*args, **kwargs)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "autotopies", counting)
+    monkeypatch.setattr(structure, name, counting)
+    return calls
+
+
+def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
+    # T7_C1 and L1_T11 each list the autotopies of every instance once;
+    # pseudoautomorphisms and the G profile must not list them at all
+    calls = _count_calls(monkeypatch, "autotopies")
     assert run_verification().overall
     assert len(calls) <= 2 * len(NEUMANN_INSTANCES)
 
@@ -41,14 +47,7 @@ def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
 def test_t4_searches_pseudoautomorphisms_once_per_class_and_side(monkeypatch):
     # T4 runs on the 1 + 5 + 35 isomorphism classes of orders 2-4, not on
     # the 590 labeled tables; G_NOTE adds both sides of every instance
-    calls = []
-    search = structure.pseudoautomorphisms
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(structure, "pseudoautomorphisms", counting)
+    calls = _count_calls(monkeypatch, "pseudoautomorphisms")
     assert run_verification().overall
     assert len(calls) <= 2 * 41 + 2 * len(NEUMANN_INSTANCES)
 
@@ -94,19 +93,22 @@ def test_t4_fails_on_a_nontrivial_witness_without_a_unit(monkeypatch):
         "fail", "order-3 table with nontrivial right pseudoautomorphism lacks a right unit")
 
 
-def test_default_run_decomposes_each_autotopy_once(monkeypatch):
-    # T7_C1 and L1_T11 share one decomposition per autotopy of each instance
-    calls = []
-    decompose = structure.decompose_autotopy
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return decompose(*args, **kwargs)
-
-    monkeypatch.setattr(structure, "decompose_autotopy", counting)
+def test_default_run_builds_each_instance_group_once(monkeypatch):
+    # T7_C1 compares the autotopy list with one built group per instance;
+    # no claim factors the autotopies one at a time
+    decomposed = _count_calls(monkeypatch, "decompose_autotopy")
+    built = _count_calls(monkeypatch, "_subtraction_autotopies")
     assert run_verification().overall
-    # n^2 * |Aut| over Z3, Z4, Z2xZ2, Z5 and Z6
-    assert len(calls) == 18 + 32 + 96 + 100 + 72
+    assert decomposed == []
+    # Z3, Z4, Z2xZ2, Z5 and Z6
+    assert [g.order for g in built] == [3, 4, 4, 5, 6]
+
+
+def test_t7_fails_on_an_autotopy_outside_the_built_group(forged_autotopies):
+    report = run_verification(max_order=1, max_autotopy_order=3, max_construction_order=1)
+    t7 = next(r for r in report.records if r.claim_id == "T7_C1")
+    assert (t7.status, t7.detail) == (
+        "fail", "Z3 subtraction: autotopies are not the (L+_a, L+_(-b), L+_(a+b)).theta")
 
 
 def test_instance_catalog():
