@@ -29,7 +29,7 @@ from .errors import (
 )
 from .identities import _first_violation, builtin
 from .permutations import Permutation
-from .quasigroup import Quasigroup, _check_cells, _Labeled
+from .quasigroup import Quasigroup, _check_cells
 
 __all__ = [
     "AbelianGroup",
@@ -191,7 +191,7 @@ def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER)
     n = g.order
     if n > max_order:
         raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
-    return Permutation.rows(_Labeled(g.table).images)
+    return Permutation.rows(g.labeled.images)
 
 
 def subtraction_quasigroup(g: AbelianGroup) -> Quasigroup:

@@ -440,29 +440,25 @@ def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:
     """First failing assignment, or None if the identity holds.
 
     Assignments are enumerated with the first variable of ``ident.vars``
-    cycling fastest (like the least significant digit of a counter).  The
-    blocks of ``_blocks`` come in that order, the last variable slowest, so
-    the first block with a violation holds the first one, and the blocks
-    after it are not evaluated.
+    cycling fastest (like the least significant digit of a counter): the
+    scan of ``_first_violation`` over the reversed axes.
     """
-    for where, bad in _blocks(q, ident, range(len(ident.vars) - 1, -1, -1)):
-        if bad.any():
-            # Fortran order makes axis 0 (the first variable) the fastest.
-            first = np.unravel_index(int(np.argmax(bad.ravel(order="F"))), bad.shape, order="F")
-            return {v: w.start + int(i) for v, w, i in zip(ident.vars, where, first)}
-    return None
+    first = _first_violation(q, ident, tuple(range(len(ident.vars) - 1, -1, -1)))
+    return None if first is None else dict(zip(ident.vars, first))
 
 
-def _first_violation(q: Quasigroup, ident: Identity) -> Optional[tuple[int, ...]]:
-    """First failing assignment in C order (the first variable of
-    ``ident.vars`` slowest, the last fastest) as a tuple, or None.  The
-    blocks of ``_blocks`` come in that order, so the first block with a
-    violation holds the first one, and the blocks after it are not
-    evaluated."""
-    for where, bad in _blocks(q, ident, range(len(ident.vars))):
+def _first_violation(q: Quasigroup, ident: Identity, axes=None) -> Optional[tuple[int, ...]]:
+    """First failing assignment as a tuple in the order of ``ident.vars``,
+    or None.  ``axes`` lists the variables from slowest to fastest, C order
+    (the first variable slowest, the last fastest) by default.  The blocks
+    of ``_blocks`` come in that order, so the first block with a violation
+    holds the first one, and the blocks after it are not evaluated."""
+    axes = tuple(range(len(ident.vars))) if axes is None else axes
+    for where, bad in _blocks(q, ident, axes):
         if bad.any():
-            first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return tuple(w.start + int(i) for w, i in zip(where, first))
+            ordered = bad.transpose(axes)
+            first = dict(zip(axes, np.unravel_index(int(np.argmax(ordered)), ordered.shape)))
+            return tuple(w.start + int(first[v]) for v, w in enumerate(where))
     return None
 
 

@@ -12,11 +12,12 @@ multiplies the transversal sizes of its stabilizer chain, and
 gamma) is an isomorphism gamma from the principal isotope P_00 onto P_ab,
 where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0): one
 record of P_00 is matched against the n^2 tables P_ab, and alpha and beta
-are read off all gamma by two gathers.  One-sided pseudoautomorphisms are,
-for each companion c, the isomorphisms from q's record onto one derived
-Latin square, n targets per side.  Nuclei are read off the failures of
-the catalog's associative law, and the Bol, Moufang and core-distributive
-checks are catalog laws too.
+are read off all gamma by two gathers.  The group is cached as one image
+array, and every list of it is sorted and built in one checked pass.
+One-sided pseudoautomorphisms are, for each companion c, the isomorphisms
+from q's record onto one derived Latin square, n targets per side.
+Nuclei are read off the failures of the catalog's associative law, and
+the Bol, Moufang and core-distributive checks are catalog laws too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,9 +94,6 @@ class Autotopy:
     def sort_key(self):
         return (self.alpha.image, self.beta.image, self.gamma.image)
 
-    def __lt__(self, other: "Autotopy") -> bool:
-        return self.sort_key() < other.sort_key()
-
 
 def is_autotopy(q: Quasigroup, t: Autotopy) -> bool:
     _check_degree(q.order, t.alpha, t.beta, t.gamma)
@@ -117,12 +115,13 @@ def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autot
     fresh list.
     """
     _check_order(q, max_order, "autotopy")
-    return list(_autotopy_group(q))
+    return _autotopy_list(_autotopy_group(q))
 
 
 # Quasigroups are immutable and hash by table, so equal tables share an entry.
 @functools.lru_cache(maxsize=8)
-def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
+def _autotopy_group(q: Quasigroup) -> np.ndarray:
+    """The autotopy group as a read-only, unsorted (m, 3, n) array of images."""
     n = q.order
     tab = q.table
     ldiv = q.ldiv_table
@@ -130,17 +129,21 @@ def _autotopy_group(q: Quasigroup) -> tuple[Autotopy, ...]:
     col0 = tab[:, 0]
     row0 = tab[0]
     p00 = _Labeled(tab[np.ix_(rdiv[:, 0], ldiv[0])])
-    found: list[Autotopy] = []
+    found = []
     for a in range(n):
         for b in range(n):
             # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
             gammas = p00.isomorphisms(tab[np.ix_(rdiv[:, a], ldiv[b])])
-            alphas = rdiv[gammas[:, col0], a]
-            betas = ldiv[b, gammas[:, row0]]
-            found.extend(Autotopy(Permutation(alpha), Permutation(beta), Permutation(gamma.tolist()))
-                         for alpha, beta, gamma in zip(alphas, betas, gammas))
-    found.sort()
-    return tuple(found)
+            found.append(np.stack([rdiv[gammas[:, col0], a], ldiv[b, gammas[:, row0]], gammas], axis=1))
+    images = np.concatenate(found)
+    images.setflags(write=False)
+    return images
+
+
+def _autotopy_list(images: np.ndarray) -> list[Autotopy]:
+    """Autotopies from (m, 3, n) images in ``sort_key`` order: one lexsort, one checked pass."""
+    ordered = images[np.lexsort(images.reshape(len(images), -1).T[::-1])]
+    return [Autotopy(*t) for t in zip(*(Permutation.rows(ordered[:, k]) for k in range(3)))]
 
 
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
@@ -201,11 +204,9 @@ def _subtraction_autotopies(g: AbelianGroup) -> list[Autotopy]:
     :func:`autotopies`: one triple per (a, b, theta), never deduplicated, so
     it equals the autotopy list of x - y exactly when the factorisation is
     onto and one-to-one."""
-    n = g.order
     lt = g.table[:, g.labeled.images]        # lt[c, k] = L+_c . theta_k
-    comps = [c.reshape(-1, n) for c in np.broadcast_arrays(lt[:, None], lt[g.neg][None], lt[g.table])]
-    order = np.lexsort(np.hstack(comps).T[::-1])
-    return [Autotopy(*t) for t in zip(*(Permutation.rows(c[order]) for c in comps))]
+    comps = np.broadcast_arrays(lt[:, None], lt[g.neg][None], lt[g.table])
+    return _autotopy_list(np.stack(comps, axis=3).reshape(-1, 3, g.order))
 
 
 @dataclass(frozen=True)
@@ -244,18 +245,21 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     """
     _check_side(side)
     _check_order(q, max_order, "autotopy")
+    found = [PseudoautomorphismWitness(theta, c, side)
+             for c, thetas in _companion_thetas(q, side) for theta in Permutation.rows(thetas)]
+    found.sort(key=lambda w: (w.theta.image, w.companion))
+    return found
+
+
+def _companion_thetas(q: Quasigroup, side: str) -> Iterator[tuple[int, np.ndarray]]:
+    """Each companion c with the images of every isomorphism from q onto its derived square."""
     tab = q.table
-    source = q.labeled
-    found = []
     for c in range(q.order):
         if side == "right":
             target = q.rdiv_table[tab[:, tab[:, c]], c]
         else:
             target = q.ldiv_table[c][tab[tab[c]]]
-        found.extend(PseudoautomorphismWitness(theta, c, side)
-                     for theta in Permutation.rows(source.isomorphisms(target)))
-    found.sort(key=lambda w: (w.theta.image, w.companion))
-    return found
+        yield c, q.labeled.isomorphisms(target)
 
 
 def a_pseudoautomorphisms(q: Quasigroup, side: str,
@@ -263,9 +267,8 @@ def a_pseudoautomorphisms(q: Quasigroup, side: str,
     """Autotopies of shape (alpha, beta, beta) (right) or (alpha, beta, alpha) (left)."""
     _check_side(side)
     _check_order(q, max_order, "autotopy")
-    if side == "right":
-        return [t for t in _autotopy_group(q) if t.beta == t.gamma]
-    return [t for t in _autotopy_group(q) if t.alpha == t.gamma]
+    images = _autotopy_group(q)
+    return _autotopy_list(images[(images[:, 1 if side == "right" else 0] == images[:, 2]).all(axis=1)])
 
 
 def component_transitive(ts: Sequence[Autotopy], which: int) -> bool:
@@ -295,27 +298,30 @@ class GProfile:
     right_g: bool
 
 
-def _third_components_transitive(q: Quasigroup, ts: Sequence[Autotopy]) -> bool:
-    return len(orbit(0, [t.gamma for t in ts])) == q.order
+def _third_components_transitive(gammas: np.ndarray) -> bool:
+    """Is the group generated by the rows of an (m, n) image array transitive?"""
+    seen = np.arange(gammas.shape[1]) == 0
+    while not seen[gammas[:, seen]].all():
+        seen[gammas[:, seen]] = True
+    return bool(seen.all())
 
 
 def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
     """GA flags: transitivity of third components of A-pseudoautomorphisms."""
-    right = a_pseudoautomorphisms(q, "right", max_order=max_order)
-    left = a_pseudoautomorphisms(q, "left", max_order=max_order)
-    right_ga = _third_components_transitive(q, right)
-    left_ga = _third_components_transitive(q, left)
+    _check_order(q, max_order, "autotopy")
+    images = _autotopy_group(q)
+    right_ga = _third_components_transitive(images[(images[:, 1] == images[:, 2]).all(axis=1), 2])
+    left_ga = _third_components_transitive(images[(images[:, 0] == images[:, 2]).all(axis=1), 2])
     return GAProfile(left_ga=left_ga, right_ga=right_ga, ga=left_ga and right_ga)
 
 
 def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
-    """G flags: transitivity of third components of pseudoautomorphism triples."""
-    right = [w.to_autotopy(q) for w in pseudoautomorphisms(q, "right", max_order=max_order)]
-    left = [w.to_autotopy(q) for w in pseudoautomorphisms(q, "left", max_order=max_order)]
-    return GProfile(
-        left_g=_third_components_transitive(q, left),
-        right_g=_third_components_transitive(q, right),
-    )
+    """G flags: transitivity of third components R_c.theta (right) and L_c.theta (left)."""
+    _check_order(q, max_order, "autotopy")
+    right = np.concatenate([q.table[thetas, c] for c, thetas in _companion_thetas(q, "right")])
+    left = np.concatenate([q.table[c, thetas] for c, thetas in _companion_thetas(q, "left")])
+    return GProfile(left_g=_third_components_transitive(left),
+                    right_g=_third_components_transitive(right))
 
 
 _NUCLEUS_AXIS = {"left": 0, "middle": 1, "right": 2}

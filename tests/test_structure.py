@@ -344,6 +344,17 @@ def test_built_group_of_a_relabeled_table_is_its_autotopy_list(g):
     assert structure._subtraction_autotopies(recover_group(q)) == autotopies(q)
 
 
+def test_z2_cubed_subtraction_autotopies_at_order_8():
+    # 8^2 * |GL(3, 2)| = 64 * 168 autotopies, above the default bound of 7
+    q = subtraction_quasigroup(parse_group_spec("Z2xZ2xZ2"))
+    ats = autotopies(q, max_order=8)
+    assert len(ats) == 10752
+    assert ats == structure._subtraction_autotopies(recover_group(q))
+    assert is_ga(q, max_order=8).ga
+    assert is_g(q, max_order=8) == GProfile(left_g=True, right_g=True)    # exponent 2
+    assert not structure._autotopy_group(q).flags.writeable
+
+
 def test_alternative_product_translation_form(z5_sub):
     """Each autotopy also factors as (L*_a, L*_Ib, L*_(a*Ib)) . (I theta)
     with the quasigroup's own left translations and I the negation."""
@@ -464,6 +475,21 @@ def test_identity_triple_in_both_a_pseudo_lists(z4_sub):
     e = Autotopy.identity(4)
     assert e in a_pseudoautomorphisms(z4_sub, "right")
     assert e in a_pseudoautomorphisms(z4_sub, "left")
+
+
+def test_a_pseudoautomorphisms_match_naive_filters_on_small_squares():
+    # every square of order <= 3 and one square of each of the 35 order-4
+    # classes, not only Neumann tables: the beta = gamma (right) and
+    # alpha = gamma (left) rows of the all-triples scan, in sort_key order
+    classes = [q.to_lists() for q in find_all(SearchOptions(4, up_to_isomorphism=True))]
+    assert len(classes) == 35
+    for sq in [sq for n in (1, 2, 3) for sq in all_latin_squares(n)] + classes:
+        q = Quasigroup(sq)
+        naive = sorted(naive_autotopies(sq))
+        assert [t.sort_key() for t in a_pseudoautomorphisms(q, "right")] == \
+            [t for t in naive if t[1] == t[2]], sq
+        assert [t.sort_key() for t in a_pseudoautomorphisms(q, "left")] == \
+            [t for t in naive if t[0] == t[2]], sq
 
 
 # -- transitivity and G / GA profiles -----------------------------------------------------
