@@ -46,7 +46,6 @@ from .errors import (
 from .identities import (
     BinOp,
     Identity,
-    ImplicationOutcome,
     Var,
     builtin,
     builtin_names,
@@ -54,7 +53,6 @@ from .identities import (
     eval_term,
     format_term,
     holds,
-    implies_on_order,
     parse_identity,
     parse_term,
 )
@@ -62,10 +60,12 @@ from .permutations import Permutation, orbit
 from .quasigroup import ParastropheSelector, Quasigroup, UnitProfile, from_table
 from .search import (
     EquivalenceReport,
+    ImplicationOutcome,
     SearchOptions,
     count,
     equivalence_report,
     find_all,
+    implies_on_order,
 )
 from .structure import (
     Autotopy,

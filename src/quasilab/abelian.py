@@ -24,12 +24,11 @@ from .errors import (
     NotAbelianGroup,
     NotLatin,
     NotSquare,
-    OrderTooLarge,
     RepresentationMismatch,
 )
 from .identities import _first_violation, builtin
 from .permutations import Permutation
-from .quasigroup import Quasigroup, _check_cells
+from .quasigroup import AUTOMORPHISM_MAX_ORDER, Quasigroup, _check_cells, _check_order
 
 __all__ = [
     "AbelianGroup",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_ORDER = 64
-AUTOMORPHISM_MAX_ORDER = 16
 
 
 class AbelianGroup(Quasigroup):
@@ -166,8 +164,7 @@ def enumerate_abelian_groups(n: int, max_order: int = ENUMERATION_MAX_ORDER) -> 
     Classes correspond to a choice of partition of each prime exponent;
     output follows descending partition order per prime, primes ascending.
     """
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} above enumeration bound {max_order}")
+    _check_order(n, max_order, "enumeration")
     if n < 1:
         raise NotAbelianGroup(f"order must be positive, got {n}")
     if n == 1:
@@ -188,9 +185,7 @@ def automorphism_group(g: AbelianGroup, max_order: int = AUTOMORPHISM_MAX_ORDER)
     of the stabilizer chain that the shared isomorphism search builds; the
     identity comes first and the rest follow in the chain's sorted order.
     """
-    n = g.order
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} above automorphism bound {max_order}")
+    _check_order(g.order, max_order, "automorphism")
     return Permutation.rows(g.labeled.images)
 
 

@@ -15,8 +15,8 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from . import structure
-from .abelian import AUTOMORPHISM_MAX_ORDER, recover_group, subtraction_quasigroup
-from .errors import QuasilabError
+from .abelian import recover_group, subtraction_quasigroup
+from .errors import OrderTooLarge, QuasilabError
 from .identities import Identity, builtin, builtin_names, counterexample, holds, parse_identity
 from .quasigroup import Quasigroup
 from .search import SearchOptions, count as count_models, find_all
@@ -159,23 +159,25 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
         "g": None,
         "decomposition_ok": None,
     }
-    atop_bound = max_order if max_order is not None else structure.AUTOTOPY_MAX_ORDER
-    auto_bound = max_order if max_order is not None else AUTOMORPHISM_MAX_ORDER
-    if n <= auto_bound:
-        report["automorphism_count"] = structure.automorphism_count(q, max_order=auto_bound)
-    if n <= atop_bound:
-        ats = structure.autotopies(q, max_order=atop_bound)
-        report["autotopy_count"] = len(ats)
-        ga = structure.is_ga(q, max_order=atop_bound)
-        gp = structure.is_g(q, max_order=atop_bound)
-        report["ga"] = {"left_ga": ga.left_ga, "right_ga": ga.right_ga, "ga": ga.ga}
-        report["g"] = {"left_g": gp.left_g, "right_g": gp.right_g}
-        if report["identities"]["neumann"]:
-            # the n^2 * |Aut| built triples are autotopies of x - y: equal iff all decompose
-            try:
-                report["decomposition_ok"] = ats == structure._subtraction_autotopies(recover_group(q))
-            except QuasilabError:
-                report["decomposition_ok"] = False
+    # the default bounds live with the walks; a walk that refuses leaves its counts null
+    bound = {} if max_order is None else {"max_order": max_order}
+    with contextlib.suppress(OrderTooLarge):
+        report["automorphism_count"] = structure.automorphism_count(q, **bound)
+    try:
+        ats = structure.autotopies(q, **bound)
+    except OrderTooLarge:
+        return report
+    report["autotopy_count"] = len(ats)
+    ga = structure.is_ga(q, **bound)
+    gp = structure.is_g(q, **bound)
+    report["ga"] = {"left_ga": ga.left_ga, "right_ga": ga.right_ga, "ga": ga.ga}
+    report["g"] = {"left_g": gp.left_g, "right_g": gp.right_g}
+    if report["identities"]["neumann"]:
+        # the n^2 * |Aut| built triples are autotopies of x - y: equal iff all decompose
+        try:
+            report["decomposition_ok"] = ats == structure._subtraction_autotopies(recover_group(q))
+        except QuasilabError:
+            report["decomposition_ok"] = False
     return report
 
 

@@ -65,8 +65,6 @@ __all__ = [
     "counterexample",
     "builtin",
     "builtin_names",
-    "implies_on_order",
-    "ImplicationOutcome",
 ]
 
 MUL = "*"
@@ -501,31 +499,3 @@ def builtin(name: str) -> Identity:
         return cached
     except KeyError:
         raise UnknownIdentity(name, builtin_names()) from None
-
-
-# -- semantic implication on finite models --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ImplicationOutcome:
-    holds: bool
-    witness: Optional[Quasigroup]
-
-
-def implies_on_order(
-    n: int,
-    hypothesis: Identity,
-    conclusion: Identity,
-    max_order: Optional[int] = None,
-) -> ImplicationOutcome:
-    """Does every order-n model of ``hypothesis`` satisfy ``conclusion``?
-
-    The witness, when present, is the lexicographically first counter-model.
-    """
-    from .search import SearchOptions, find_all
-
-    models = find_all(SearchOptions(order=n, identities=(hypothesis,)), max_order=max_order)
-    for q in models:
-        if not holds(q, conclusion):
-            return ImplicationOutcome(holds=False, witness=q)
-    return ImplicationOutcome(holds=True, witness=None)

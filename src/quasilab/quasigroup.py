@@ -6,6 +6,10 @@ tables, computed lazily and cached (instances are immutable, so the fill is
 idempotent and safe under concurrent use), and so is the table's
 ``_Labeled`` record.
 
+The module owns the evaluation budget and the canonical-form and
+automorphism bounds; ``_check_order`` is every bound's one refusal,
+"order N above <kind> bound M".
+
 ``_labelings`` is the one search over relabelings; canonical forms,
 isomorphisms, automorphisms and autotopies all walk it.  ``_Labeled`` is
 the one record per table behind every isomorphism and automorphism query:
@@ -47,6 +51,8 @@ _PARASTROPHE_NAMES = {
 # Cells one exhaustive evaluation may span: 64^4, so 4-variable laws run up
 # to order 64 (the abelian-group enumeration bound), 3-variable ones to 256.
 CELL_BUDGET = 2**24
+CANONICAL_MAX_ORDER = 16      # full _labelings walks: canonical_key, find --up-to-iso
+AUTOMORPHISM_MAX_ORDER = 16   # _Labeled.images
 
 
 def _check_cells(n: int, k: int) -> None:
@@ -54,6 +60,12 @@ def _check_cells(n: int, k: int) -> None:
     if n**k > CELL_BUDGET:
         raise OrderTooLarge(f"order {n}: a {k}-variable law spans {n}^{k} cells, "
                             f"above the evaluation budget of {CELL_BUDGET}")
+
+
+def _check_order(n: int, max_order: int, bound: str) -> None:
+    """Refuse an order-n walk above its ``bound`` kind's ``max_order``."""
+    if n > max_order:
+        raise OrderTooLarge(f"order {n} above {bound} bound {max_order}")
 
 
 def _check_degree(n: int, *perms: Permutation) -> None:

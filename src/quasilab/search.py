@@ -71,10 +71,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OrderTooLarge, QuasilabError, TooManyVariables
+from .errors import QuasilabError, TooManyVariables
 from .identities import Identity, LDIV, MUL, RDIV, Program, _holds_in_each, _run, holds
-from .quasigroup import Quasigroup, _all_latin, _check_cells, _labelings
-from .structure import CANONICAL_MAX_ORDER
+from .quasigroup import CANONICAL_MAX_ORDER, Quasigroup, _all_latin, _check_cells, _check_order, _labelings
 
 __all__ = [
     "SearchOptions",
@@ -82,6 +81,8 @@ __all__ = [
     "find_all",
     "count",
     "equivalence_report",
+    "implies_on_order",
+    "ImplicationOutcome",
     "default_max_order",
     "MAX_IDENTITY_VARS",
 ]
@@ -171,13 +172,12 @@ def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
                 f"identity '{ident}' has {len(ident.vars)} variables (max {MAX_IDENTITY_VARS})"
             )
     bound = max_order if max_order is not None else default_max_order(opts.identities)
-    if opts.order > bound:
-        raise OrderTooLarge(f"order {opts.order} above search bound {bound}")
+    _check_order(opts.order, bound, "search")
     for ident in opts.identities:
         _check_cells(opts.order, len(ident.vars))
     # the class pass walks every labeling of each representative
-    if opts.up_to_isomorphism and opts.order > CANONICAL_MAX_ORDER:
-        raise OrderTooLarge(f"order {opts.order} above canonical-form bound {CANONICAL_MAX_ORDER}")
+    if opts.up_to_isomorphism:
+        _check_order(opts.order, CANONICAL_MAX_ORDER, "canonical-form")
 
 
 def _search(opts: SearchOptions) -> list[np.ndarray]:
@@ -484,3 +484,26 @@ def equivalence_report(n: int, id1: Identity, id2: Identity,
         only_id1=len(m1 - m2),
         only_id2=len(m2 - m1),
     )
+
+
+@dataclass(frozen=True)
+class ImplicationOutcome:
+    holds: bool
+    witness: Optional[Quasigroup]
+
+
+def implies_on_order(
+    n: int,
+    hypothesis: Identity,
+    conclusion: Identity,
+    max_order: Optional[int] = None,
+) -> ImplicationOutcome:
+    """Does every order-n model of ``hypothesis`` satisfy ``conclusion``?
+
+    The witness, when present, is the lexicographically first counter-model.
+    """
+    models = find_all(SearchOptions(order=n, identities=(hypothesis,)), max_order=max_order)
+    for q in models:
+        if not holds(q, conclusion):
+            return ImplicationOutcome(holds=False, witness=q)
+    return ImplicationOutcome(holds=True, witness=None)

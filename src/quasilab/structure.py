@@ -29,11 +29,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .abelian import AUTOMORPHISM_MAX_ORDER, AbelianGroup, recover_group
-from .errors import EmptyList, NotDecomposable, OrderMismatch, OrderTooLarge
+from .abelian import AbelianGroup, recover_group
+from .errors import EmptyList, NotDecomposable, OrderMismatch
 from .identities import _blocks, _first_violation, builtin, holds
-from .permutations import Permutation, orbit
-from .quasigroup import Quasigroup, _check_degree, _Labeled, _labelings, _table_key
+from .permutations import Permutation
+from .quasigroup import (AUTOMORPHISM_MAX_ORDER, CANONICAL_MAX_ORDER, Quasigroup, _check_degree,
+                         _check_order, _Labeled, _labelings, _table_key)
 
 __all__ = [
     "Autotopy",
@@ -66,7 +67,6 @@ __all__ = [
 ]
 
 AUTOTOPY_MAX_ORDER = 7
-CANONICAL_MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,13 @@ def is_autotopy(q: Quasigroup, t: Autotopy) -> bool:
     return bool((lhs == rhs).all())
 
 
-def _check_order(q: Quasigroup, max_order: int, bound: str) -> None:
-    if q.order > max_order:
-        raise OrderTooLarge(f"order {q.order} above {bound} bound {max_order}")
-
-
 def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
     """Complete, duplicate-free, canonically sorted autotopy group of q.
 
     The enumeration is cached for the last few tables; each call returns a
     fresh list.
     """
-    _check_order(q, max_order, "autotopy")
+    _check_order(q.order, max_order, "autotopy")
     return _autotopy_list(_autotopy_group(q))
 
 
@@ -148,13 +143,13 @@ def _autotopy_list(images: np.ndarray) -> list[Autotopy]:
 
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
     """All alpha with (alpha, alpha, alpha) an autotopy, sorted by image."""
-    _check_order(q, max_order, "automorphism")
+    _check_order(q.order, max_order, "automorphism")
     return Permutation.rows(q.labeled.images)
 
 
 def automorphism_count(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> int:
     """|Aut(q)|: the product of the stabilizer chain's transversal sizes."""
-    _check_order(q, max_order, "automorphism")
+    _check_order(q.order, max_order, "automorphism")
     return math.prod(len(level) for level in q.labeled.transversals)
 
 
@@ -244,7 +239,7 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     squares.
     """
     _check_side(side)
-    _check_order(q, max_order, "autotopy")
+    _check_order(q.order, max_order, "autotopy")
     found = [PseudoautomorphismWitness(theta, c, side)
              for c, thetas in _companion_thetas(q, side) for theta in Permutation.rows(thetas)]
     found.sort(key=lambda w: (w.theta.image, w.companion))
@@ -266,7 +261,7 @@ def a_pseudoautomorphisms(q: Quasigroup, side: str,
                           max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
     """Autotopies of shape (alpha, beta, beta) (right) or (alpha, beta, alpha) (left)."""
     _check_side(side)
-    _check_order(q, max_order, "autotopy")
+    _check_order(q.order, max_order, "autotopy")
     images = _autotopy_group(q)
     return _autotopy_list(images[(images[:, 1 if side == "right" else 0] == images[:, 2]).all(axis=1)])
 
@@ -281,8 +276,7 @@ def component_transitive(ts: Sequence[Autotopy], which: int) -> bool:
         raise ValueError(f"component must be 1, 2 or 3, got {which}")
     if not ts:
         raise EmptyList("no autotopies given")
-    perms = [t.component(which) for t in ts]
-    return len(orbit(0, perms)) == perms[0].degree
+    return _third_components_transitive(np.array([t.component(which).image for t in ts]))
 
 
 @dataclass(frozen=True)
@@ -308,7 +302,7 @@ def _third_components_transitive(gammas: np.ndarray) -> bool:
 
 def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
     """GA flags: transitivity of third components of A-pseudoautomorphisms."""
-    _check_order(q, max_order, "autotopy")
+    _check_order(q.order, max_order, "autotopy")
     images = _autotopy_group(q)
     right_ga = _third_components_transitive(images[(images[:, 1] == images[:, 2]).all(axis=1), 2])
     left_ga = _third_components_transitive(images[(images[:, 0] == images[:, 2]).all(axis=1), 2])
@@ -317,7 +311,7 @@ def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
 
 def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
     """G flags: transitivity of third components R_c.theta (right) and L_c.theta (left)."""
-    _check_order(q, max_order, "autotopy")
+    _check_order(q.order, max_order, "autotopy")
     right = np.concatenate([q.table[thetas, c] for c, thetas in _companion_thetas(q, "right")])
     left = np.concatenate([q.table[c, thetas] for c, thetas in _companion_thetas(q, "left")])
     return GProfile(left_g=_third_components_transitive(left),
@@ -405,7 +399,7 @@ def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
     is n^O(log n) relabelings, not n!.
     """
     n = q.order
-    _check_order(q, max_order, "canonical-form")
+    _check_order(q.order, max_order, "canonical-form")
     # tuple order is the byte order of _table_key, so only the least is keyed
     return _table_key(np.reshape(min(_labelings(q.table))[0], (n, n)))
 

@@ -72,7 +72,11 @@ def format_table(q: Quasigroup, comments: Iterable[str] = ()) -> str:
 
 def read_table(path: Union[str, Path]) -> Quasigroup:
     p = Path(path)
-    return parse_table_text(p.read_text(), label=p.name)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{p}: not UTF-8 text at byte {exc.start}") from None
+    return parse_table_text(text, label=p.name)
 
 
 def write_table(path: Union[str, Path], q: Quasigroup, comments: Iterable[str] = ()) -> None:
@@ -90,7 +94,10 @@ def parse_group_spec(spec: str) -> AbelianGroup:
         m = _FACTOR_RE.match(part.strip())
         if not m:
             raise GroupSpecError(f"bad group spec {spec!r}: factor {part.strip()!r} is not Z<n>")
-        k = int(m.group(1))
+        try:
+            k = int(m.group(1))
+        except ValueError:   # beyond Python's limit on the digits of an int
+            raise GroupSpecError(f"bad group spec: a cyclic order of {len(m.group(1))} digits is too large") from None
         if k < 1:
             raise GroupSpecError(f"bad group spec {spec!r}: cyclic order must be >= 1")
         orders.append(k)

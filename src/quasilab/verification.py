@@ -322,8 +322,9 @@ def run_verification(
             left = structure.a_pseudoautomorphisms(q, "left", max_order=max_autotopy_order)
             assert left == [t for t in ats if t.beta(z) == z], \
                 f"{q.label}: alpha=gamma filter differs from b = 0"
-            assert structure.component_transitive(right, 3), f"{q.label}: right side not transitive"
-            assert structure.component_transitive(left, 3), f"{q.label}: left side not transitive"
+            ga = structure.is_ga(q, max_order=max_autotopy_order)
+            assert ga.right_ga, f"{q.label}: right side not transitive"
+            assert ga.left_ga, f"{q.label}: left side not transitive"
             tested.append(q.order)
         return f"filters match a = -2b and b = 0; third components transitive (orders {sorted(tested)})"
 

@@ -441,3 +441,23 @@ def test_verbose_logs_progress_to_stderr_and_keeps_stdout(capsys):
     # the handler is removed again after the run
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_table_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes(b"order 1\n\xff\n")
+    for argv in (["check", str(path), "--identity", "neumann"], ["analyze", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "byte 8" in captured.err
+
+
+def test_construct_with_an_overlong_factor_exits_2(capsys):
+    assert main(["construct", "--group", "Z" + "9" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "5000 digits" in captured.err
+    # a factor int() can read still reaches the evaluation budget
+    assert main(["construct", "--group", "Z" + "9" * 50]) == 2
+    assert "budget" in capsys.readouterr().err

@@ -66,3 +66,12 @@ def test_group_spec_errors():
     for bad in ("Z0", "Q8", "Z2x", "x", "", "Z-3", "Z2*Z2"):
         with pytest.raises(GroupSpecError):
             parse_group_spec(bad)
+
+
+def test_input_that_python_cannot_read_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes(b"order 1\n\xff\n")
+    with pytest.raises(TableFormatError, match=r"latin1\.tbl: not UTF-8 text at byte 8$"):
+        read_table(path)
+    with pytest.raises(GroupSpecError, match="5000 digits"):
+        parse_group_spec("Z" + "9" * 5000)
