@@ -65,6 +65,13 @@ class AbelianGroup(Quasigroup):
             raise NotAbelianGroup(f"entries ({exc})") from None
         except NotLatin as exc:
             raise NotAbelianGroup(f"Latin property ({exc})") from None
+        self.factors = factors
+
+    def _fill(self, table: np.ndarray, label: Optional[str]) -> None:
+        """Wrap a Latin table over 0..n-1, then check the group axioms and
+        derive ``zero`` and ``neg``; ``Quasigroup._checked`` reaches this
+        without the Latin check."""
+        super()._fill(table, label)
         arr = self.table
         idx = np.arange(self.order)
         units = np.nonzero((arr == idx[None, :]).all(axis=1) & (arr == idx[:, None]).all(axis=0))[0]
@@ -79,7 +86,7 @@ class AbelianGroup(Quasigroup):
         neg.setflags(write=False)
         self._zero = zero
         self._neg = neg
-        self.factors = factors
+        self.factors = None
 
     @property
     def zero(self) -> int:
@@ -210,11 +217,10 @@ def recover_group(q: Quasigroup) -> AbelianGroup:
     if not right_units.size:
         raise NoRightUnit(f"no column of the table is the identity map")
     e = int(right_units[0])
-    add = t[:, t[e]]
-    # add permutes the columns of a Latin square, so it is Latin, and the
-    # constructor checks the remaining axioms.
-    group = AbelianGroup(add, label=f"recovered from {q.label or 'table'}")
-    bad = np.argwhere(t != add[:, group.neg])
+    # add permutes the columns of a Latin square, so it is Latin and needs
+    # only the group axioms
+    group = AbelianGroup._checked(t[:, t[e]], label=f"recovered from {q.label or 'table'}")
+    bad = np.argwhere(t != group.table[:, group.neg])
     if bad.size:
         x, y = (int(v) for v in bad[0])
         raise RepresentationMismatch(x, y)

@@ -335,11 +335,11 @@ class Quasigroup:
         self._fill(table, label)
 
     @classmethod
-    def _checked(cls, table: np.ndarray) -> "Quasigroup":
+    def _checked(cls, table: np.ndarray, label: Optional[str] = None) -> "Quasigroup":
         """Wrap an int64 table that the caller has already checked to be
         Latin over 0..n-1, without checking it again."""
         q = cls.__new__(cls)
-        q._fill(table, None)
+        q._fill(table, label)
         return q
 
     def _fill(self, table: np.ndarray, label: Optional[str]) -> None:

@@ -14,9 +14,10 @@ Group specs are products of cyclic groups: "Z4", "Z2xZ2", "Z3xZ9"
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .abelian import AbelianGroup, cyclic, direct_product
 from .errors import GroupSpecError, TableFormatError
@@ -32,23 +33,30 @@ __all__ = [
 
 
 def parse_table_text(text: str, label: Optional[str] = None) -> Quasigroup:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+    return _parse_lines((text,), label)
+
+
+def _parse_lines(chunks: Iterable[str], label: Optional[str]) -> Quasigroup:
+    """Parse the table text that ``chunks`` hold in order, each a whole
+    number of lines.  The chunks are read only as far as the declared order
+    allows: a row beyond it is refused before the next chunk is read."""
+    lines = (line for chunk in chunks for raw in chunk.splitlines()
+             if (line := raw.split("#", 1)[0].strip()))
+    first = next(lines, None)
+    if first is None:
         raise TableFormatError("empty table text")
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 2 or head[0].lower() != "order":
-        raise TableFormatError(f"first line must be 'order n', got {lines[0]!r}")
+        raise TableFormatError(f"first line must be 'order n', got {first!r}")
     try:
         n = int(head[1])
     except ValueError:
         raise TableFormatError(f"bad order {head[1]!r}") from None
     if n < 1:
         raise TableFormatError(f"order must be positive, got {n}")
-    body = lines[1:]
+    body = list(itertools.islice(lines, n + 1))
+    if len(body) > n:
+        raise TableFormatError(f"expected {n} rows, got more than {n}")
     if len(body) != n:
         raise TableFormatError(f"expected {n} rows, got {len(body)}")
     rows = []
@@ -71,12 +79,21 @@ def format_table(q: Quasigroup, comments: Iterable[str] = ()) -> str:
 
 
 def read_table(path: Union[str, Path]) -> Quasigroup:
+    """Read a table file line by line, so that a file longer than its
+    declared order allows is refused after at most one line too many."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TableFormatError(f"{p}: not UTF-8 text at byte {exc.start}") from None
-    return parse_table_text(text, label=p.name)
+
+    def decoded(f) -> Iterator[str]:
+        offset = 0
+        for raw in f:
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TableFormatError(f"{p}: not UTF-8 text at byte {offset + exc.start}") from None
+            offset += len(raw)
+
+    with p.open("rb") as f:
+        return _parse_lines(decoded(f), label=p.name)
 
 
 def write_table(path: Union[str, Path], q: Quasigroup, comments: Iterable[str] = ()) -> None:

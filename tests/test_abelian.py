@@ -342,3 +342,17 @@ def test_core_distributive_for_all_small_neumann():
         for g in enumerate_abelian_groups(n):
             d = core_distributive(subtraction_quasigroup(g))
             assert d.left and d.right
+
+
+def test_recover_group_checks_only_the_group_axioms(monkeypatch):
+    # the recovered addition permutes the columns of a Latin square, so the
+    # Latin and symbol checks of the constructor are not run again
+    sub = subtraction_quasigroup(direct_product([cyclic(2), cyclic(4)]))
+    loop = Quasigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])   # Z3 addition: not x - y
+    for check in ("_check_latin", "_check_symbols"):
+        monkeypatch.setattr(Quasigroup, check, lambda *a: pytest.fail(f"{check} ran"))
+    g = recover_group(sub)
+    assert g.label == f"recovered from {sub.label}" and g.factors is None and g.zero == 0
+    assert np.array_equal(g.table[:, g.neg], sub.table)
+    with pytest.raises(RepresentationMismatch):
+        recover_group(loop)

@@ -456,3 +456,71 @@ def test_search_summary_is_one_debug_record(caplog):
         assert summary.levelno == logging.DEBUG
         for word in ("nodes", "forced cells", "prunes", "models", " s"):
             assert word in summary.getMessage()
+
+
+def _summary(caplog, opts) -> dict:
+    (record,) = [r for r in _search_log(caplog, opts) if r.levelno == logging.DEBUG]
+    words = record.getMessage().split()
+    return {"nodes": int(words[3]), "prunes": int(words[8]), "models": int(words[10])}
+
+
+@pytest.mark.parametrize("name, n, nodes, models", [
+    ("neumann", 6, 1_511, 360),
+    ("schweizer", 6, 1_232, 360),
+    ("eq5", 5, 497, 30),
+    ("eq5", 6, 6_122, 360),
+    ("medial", 4, 364, 120),
+])
+def test_propagating_walk_node_counts(caplog, name, n, nodes, models):
+    # the batched walk settles each table to the fixpoint of the per-node walk
+    # it replaced, so it branches on exactly the same nodes
+    summary = _summary(caplog, SearchOptions(n, (builtin(name),)))
+    assert (summary["nodes"], summary["models"]) == (nodes, models)
+
+
+def _neumann6(**kw):
+    return SearchOptions(6, (builtin("neumann"),), **kw)
+
+
+BATCH6 = search.CELLS // 6**3       # the tables of one Neumann batch at order 6
+
+
+@pytest.mark.parametrize("limit", [1, BATCH6, BATCH6 + 1, 359, 360])
+def test_limit_across_batches_keeps_the_lex_first_models(limit):
+    full = [q.key() for q in find_all(_neumann6())]
+    assert [q.key() for q in find_all(_neumann6(limit=limit))] == full[:limit]
+    assert count(_neumann6(limit=limit)) == min(limit, len(full))
+
+
+@pytest.mark.parametrize("name", ["neumann", "schweizer"])
+def test_batched_walk_yields_models_in_table_order(name):
+    keys = [_table_key(t) for t in search._search(SearchOptions(6, (builtin(name),)))]
+    assert len(keys) == 360
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_limit_stops_the_walk(caplog):
+    # the walk stops at the limit-th model instead of truncating afterwards
+    first = _summary(caplog, _neumann6(limit=1))
+    caplog.clear()
+    assert first["models"] == 1 and first["nodes"] < _summary(caplog, _neumann6())["nodes"]
+
+
+def test_progress_records_every_multiple_of_the_interval(caplog):
+    nodes = _summary(caplog, _neumann6())["nodes"]
+    for interval in (1, 7, BATCH6 + 3):
+        caplog.clear()
+        records = [r for r in _search_log(caplog, _neumann6(progress_interval=interval))
+                   if r.levelno == logging.INFO]
+        assert [int(r.getMessage().split()[3]) for r in records] == \
+            list(range(interval, nodes + 1, interval))
+
+
+def test_propagating_count_memory_is_bounded(monkeypatch):
+    opts = _neumann6()
+    count(opts)         # warm up
+    assert _traced_peak(lambda: count(opts)) < 4 * 2**20
+    # and count hands the walk nowhere to keep its models
+    walk, seen = search._propagating_walk, []
+    monkeypatch.setattr(search, "_propagating_walk", lambda o, found: seen.append(found) or walk(o, found))
+    assert count(opts) == 360 and seen == [None]

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import pytest
 
 from quasilab import (
@@ -75,3 +78,43 @@ def test_input_that_python_cannot_read_is_a_format_error(tmp_path):
         read_table(path)
     with pytest.raises(GroupSpecError, match="5000 digits"):
         parse_group_spec("Z" + "9" * 5000)
+
+
+def test_a_long_file_is_refused_at_its_first_extra_row(tmp_path):
+    # 20 MB of rows after "order 2": refused without reading past row 3
+    path = tmp_path / "long.tbl"
+    with path.open("w") as f:
+        f.write("order 2\n")
+        for _ in range(20):
+            f.write("0 1\n" * 250_000)
+    assert path.stat().st_size > 20_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableFormatError, match="^expected 2 rows, got more than 2$"):
+            read_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_the_file_reader_keeps_the_text_parser_errors(tmp_path):
+    cases = ["", "order 2\n0 1\n", "order 2\n0 x\n1 0\n", "order 2\n0 1 1\n1 0\n",
+             "# c\r\norder 2\r\n0 1\r1 0\n", "order 2\n0 1\n1 0\n\n# end\n"]
+    for text in cases:
+        path = tmp_path / "t.tbl"
+        path.write_text(text)
+        try:
+            expected = parse_table_text(text).to_lists()
+        except TableFormatError as exc:
+            with pytest.raises(TableFormatError, match=f"^{re.escape(str(exc))}$"):
+                read_table(path)
+        else:
+            assert read_table(path).to_lists() == expected
+
+
+def test_the_row_count_is_checked_before_the_rows():
+    with pytest.raises(TableFormatError, match="^expected 2 rows, got 1$"):
+        parse_table_text("order 2\n0 x\n")
+    with pytest.raises(TableFormatError, match="^expected 2 rows, got more than 2$"):
+        parse_table_text("order 2\n0 x\n1 0\n0 1\n")
