@@ -1,14 +1,21 @@
 """Exhaustive enumeration of quasigroups satisfying identities.
 
-There are two walks, and the identities of the search pick one.
+There are two walks, and the identities of the search pick one.  Both
+place cells in row-major order, smallest symbol first, a batch of partial
+tables per numpy call rather than one table per node, and both run one
+depth-first loop over batches (``_depth_first``, below).
 
-With no identity, ``_row_walk`` places rows 0 to n - 2 one after another,
-each filled column by column with bitmasks against the column masks,
-smallest symbol first; a prefix with no candidate for its next cell ends
-its branch.  Nothing needs propagating: by M. Hall Jr.'s theorem (Bull.
-AMS 51, 1945) every k x n Latin rectangle extends to a Latin square, so no
-branch can fail across rows, and the last row is computed directly as each
-column's one missing symbol.  A node is one row placed by branching.
+With no identity, ``_row_walk`` fills rows 0 to n - 2 cell by cell.  A
+batch is an (B, n, n) uint8 stack of partial squares that have the same
+cells placed, with the symbol sets (``_Symbols`` bitmasks) of their columns
+and of the placed cells of the current row.  One step places the next cell
+in every square of the batch, one child per candidate ``full & ~(row |
+column)``; a square with no candidate ends its branch.  Nothing needs
+propagating: by M. Hall Jr.'s theorem (Bull. AMS 51, 1945) every k x n
+Latin rectangle extends to a Latin square, so no branch can fail across
+rows, and the last row is computed directly, each column's one missing
+symbol being the sum of all symbols less the column's sum.  A node is one
+row placed by branching.
 
 With identities, ``_propagating_walk`` is a backtracking Latin-square
 completion with forced-cell propagation, with the cell order and forcing of
@@ -49,21 +56,23 @@ which is the oracle the row walk is tested against.
 
 A settled table that is complete is a model.  Every other table branches on
 its first empty cell in row-major order, one child per candidate, smallest
-symbol first; a node is one such child.  The walk is depth-first over
-batches: the children of a settled batch, in table order, are cut into
-batches of at most ``CELLS // n**k`` tables (k the largest number of
-variables, at least 2), and all descendants of one batch are walked before
-the next batch of its siblings.  A model among the children rides along in
-the next batch unwritten, so it keeps its place.  A batch thus lists its
-tables in table order, and all descendants of one table come before those
-of the next.
+symbol first; a node is one such child.  A model among the children rides
+along in the next batch unwritten, so it keeps its place.
 
-In both walks two leaves first differ at the cell where their paths split,
-and the smaller symbol there is tried first, so the models come out in table
-(``_table_key``) order with no sort, and the walk stops at the ``limit``-th
-model, the lexicographically first ``limit`` of them.  Each leaf is copied
-once, into the int64 array that its ``Quasigroup`` then wraps; ``count``
-only counts the leaves and copies none.
+Both walks are depth-first over batches: the children of a settled batch,
+in table order, are cut into batches of at most ``CELLS // n**k`` tables (k
+the largest number of variables, at least 2), and all descendants of one
+batch are walked before the next batch of its siblings.  A batch thus lists
+its tables in table order, and all descendants of one table come before
+those of the next.  Two leaves first differ at the cell where their paths
+split, and the smaller symbol there is tried first, so the models come out
+in table (``_table_key``) order with no sort, and the walk stops at the
+batch that holds the ``limit``-th model, the lexicographically first
+``limit`` of them.  The models are copied into int64 once, a block of
+them per numpy call, and each comes out as an (n, n) view of its block,
+which its ``Quasigroup`` then wraps; up to isomorphism a representative is
+copied again, so that it keeps no block of skipped models alive.  ``count``
+only counts the models and copies none.
 
 Up to isomorphism, one pass over the models keeps the lex-first model of
 each class.  Each model is labeled once along its first generator sequence
@@ -164,7 +173,7 @@ def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
 
 def _search(opts: SearchOptions) -> list[np.ndarray]:
     """The models in table order, at most ``opts.limit`` of them, as int64
-    (n, n) arrays."""
+    (n, n) arrays, each a view of a block of models copied together."""
     found: list[np.ndarray] = []
     _walk(opts, found)
     return found
@@ -176,13 +185,14 @@ def _walk(opts: SearchOptions, found: Optional[list]) -> int:
     (n, n) array unless ``found`` is None.
 
     With no identity the search is ``_row_walk``, which needs no
-    propagation; with identities it is ``_propagating_walk``, which settles
-    batches of at most ``CELLS // n**k`` partial tables per round (see the
-    module docstring) and so reaches its nodes a batch at a time.  Either
-    walk logs one INFO record for each multiple of ``opts.progress_interval``
-    that its node count crosses, and one DEBUG record sums up the search;
-    its prunes are dropped tables (the propagating walk) or dead row
-    prefixes (the row walk).
+    propagation and places one cell of every square of a batch per step;
+    with identities it is ``_propagating_walk``, which settles a batch per
+    round.  Both run ``_depth_first`` over batches of at most ``CELLS //
+    n**k`` partial tables (see the module docstring) and so reach their
+    nodes a batch at a time.  Either walk logs one INFO record for each
+    multiple of ``opts.progress_interval`` that its node count crosses, and
+    one DEBUG record sums up the search; its prunes are dropped tables (the
+    propagating walk) or dead row prefixes (the row walk).
     """
     start = time.perf_counter()
     walk = _propagating_walk if opts.identities else _row_walk
@@ -196,74 +206,68 @@ def _row_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, int, int
     """The identity-free search of the module docstring: ``(models, nodes,
     forced cells, prunes)``.  A node is one row placed by branching, a prune
     a row prefix with no candidate for its next cell, and the forced cells
-    are the n cells of each computed last row."""
+    are the n cells of each computed last row.
+
+    A batch is ``(d, tables, masks)``: an (B, n, n) stack of squares (uint8
+    up to order 256) with the cells before cell d in row-major order placed,
+    and an (B, n + 1) array of symbol sets, those of the n columns and then
+    those of the placed cells of the row of cell d.  Once d reaches the last
+    row, every square of the batch is a model."""
     n = opts.order
-    full = (1 << n) - 1
     last = n - 1
-    limit = opts.limit
-    interval = opts.progress_interval
-    col = [0] * n                   # the symbols each column's placed rows use
-    table = [[0] * n for _ in range(n)]
-    models = nodes = prunes = 0
+    total = n * last // 2           # the sum of the symbols of a full column
+    sym = _Symbols(n)
+    # The models are kept as uint8 blocks during the walk and copied into
+    # int64 only after it, when the frames are freed, so that the copies do
+    # not fill the heap around the frames.
+    blocks: list[np.ndarray] = []
 
-    def place(r: int) -> bool:
-        """Place rows r to n - 1 in every way, in table order; True once
-        ``limit`` models are found."""
-        nonlocal models, nodes, prunes
+    def branch(batch):
+        d, tabs, masks = batch
+        r, c = divmod(d, n)
         if r == last:
-            models += 1
-            if found is not None:
-                table[last] = [(full ^ m).bit_length() - 1 for m in col]
-                found.append(np.array(table, dtype=np.int64))
-            return models == limit
-        row = table[r]
-        rest = [0] * n              # the candidates not yet tried in each column
-        used = [0] * n              # the symbols of the row left of each column
-        c = 0
-        m = full & ~col[0]
-        while True:
-            if m:
-                bit = m & -m
-                row[c] = bit.bit_length() - 1
-                if c < last:
-                    rest[c] = m ^ bit
-                    col[c] |= bit
-                    c += 1
-                    used[c] = u = used[c - 1] | bit
-                    m = full & ~(u | col[c])
-                    if not m:
-                        prunes += 1
-                    continue
-                # the last cell of a row has at most this one candidate
-                col[c] |= bit
-                nodes += 1
-                if interval and nodes % interval == 0:
-                    log.info("search order %d: %d nodes, %d models", n, nodes, models)
-                if place(r + 1):
-                    return True
-                col[c] ^= bit
-            c -= 1
-            if c < 0:
-                return False
-            col[c] ^= 1 << row[c]
-            m = rest[c]
+            keep = None if found is None else (lambda ts: blocks.append(tabs[ts]))
+            return np.arange(len(tabs)), np.full(len(tabs), -1), None, keep, 0
+        cand = sym.full & ~(masks[:, n] | masks[:, c])
+        t, v = np.nonzero(sym.members(cand))
 
-    place(0)
+        def grow(kids, sv):
+            grown = tabs.take(kids, axis=0)
+            grown[:, r, c] = sv
+            grown_masks = masks.take(kids, axis=0)
+            bits = sym.bits.take(sv)
+            grown_masks[:, c] |= bits
+            if c < last:
+                grown_masks[:, n] |= bits
+                return (d + 1, grown, grown_masks), 0
+            # a row is placed, and the next one starts empty
+            grown_masks[:, n] = 0
+            return (d + 1, grown, grown_masks), len(kids)
+        return t, v, grow, None, int(np.count_nonzero(cand == 0))
+
+    root = (0, np.zeros((1, n, n), dtype=np.min_scalar_type(last)),
+            np.zeros((1, n + 1), dtype=sym.bits.dtype))
+    models, nodes, prunes = _depth_first(opts, root, branch)
+    for done in blocks:
+        done = done.astype(np.int64)
+        done[:, last] = total - done[:, :last].sum(1)
+        found.extend(done)
     return models, nodes, n * models, prunes
 
 
 class _Symbols:
-    """Sets of the symbols 0..n-1 as bitmasks, bit s for symbol s: int64
-    up to order 62, Python ints in object arrays above.  ``bits[v]`` is {v}
+    """Sets of the symbols 0..n-1 as bitmasks, bit s for symbol s: the
+    narrowest of uint8, uint16 and uint32 that holds n bits, int64 up to
+    order 62, Python ints in object arrays above.  ``bits[v]`` is {v}
     for a symbol and the empty set for the sentinels n and n + 1, so
     ``bits[t]`` ORed along a row of a padded table is the set the row
     uses.  A popcount table counts members 16 bits at a time."""
 
     def __init__(self, n: int):
-        kind = np.int64 if n <= 62 else object
+        kind = next((k for k, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.int64, 62))
+                     if n <= bits), object)
         self.bits = np.array([1 << v for v in range(n)] + [0, 0], dtype=kind)
         self.full = np.bitwise_or.reduce(self.bits)
-        self.shift = np.arange(n).astype(kind)
         width = min(n, 16)
         self.pop = np.zeros(1 << width, dtype=np.intp)
         for b in range(width):
@@ -280,8 +284,8 @@ class _Symbols:
         return c
 
     def members(self, m: np.ndarray) -> np.ndarray:
-        """0/1 membership of each symbol, on a new last axis of length n."""
-        return (m[..., None] >> self.shift) & 1
+        """The membership of each symbol, on a new last axis of length n."""
+        return (m[..., None] & self.bits[:-2]) != 0
 
 
 class _Flat:
@@ -449,59 +453,99 @@ def _propagating_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, 
     table; forced cells are not nodes."""
     n = opts.order
     pad = n + 2
-    k = max(2, *(len(ident.vars) for ident in opts.identities))
-    cap = max(1, CELLS // n**k)
     sym = _Symbols(n)
-    # Sentinel-padded tables: n marks an empty cell, and rows and columns n
-    # and n + 1 are all n + 1, so a lookup with an unknown argument is n + 1.
-    tabs = np.full((3, 1, pad, pad), n + 1, dtype=np.intp)
-    tabs[:, :, :n, :n] = n
     progs = [(ident.program, [g[None] for g in np.indices((n,) * len(ident.vars), sparse=True)])
              for ident in opts.identities]
-    limit = opts.limit
-    interval = opts.progress_interval
-    models = nodes = forced = prunes = 0
-    # one frame per settled batch: [tables, child tables, child symbols,
-    # branching rows, branching columns, next child]
-    frames: list[list] = []
-    while True:
+    forced = 0
+
+    def branch(tabs):
+        nonlocal forced
         alive, written = _settle(tabs, sym, progs)
         forced += written
-        if not alive.all():
-            prunes += int(len(alive) - alive.sum())
+        dropped = len(alive) - int(alive.sum())
+        if dropped:
             tabs = tabs.compress(alive, axis=1)
-        if tabs.shape[1]:
-            frames.append([tabs, *_branches(tabs, sym), 0])
-        tabs = None
-        while frames and tabs is None:
+        t, v, r, c = _branches(tabs, sym)
+
+        def grow(kids, sv):
+            # a model within the run rides along unwritten, so that it
+            # reaches the next frame in its place in table order
+            grown = tabs.take(kids, axis=1)
+            i = np.flatnonzero(sv >= 0)
+            sv, rr, cc = sv[i], r[kids[i]], c[kids[i]]
+            grown[0, i, rr, cc] = sv
+            grown[1, i, rr, sv] = cc
+            grown[2, i, sv, cc] = rr
+            return grown, len(i)
+
+        keep = None if found is None else (
+            lambda ts: found.extend(np.asarray(tabs[0, ts, :n, :n], dtype=np.int64)))
+        return t, v, grow, keep, dropped
+
+    # Sentinel-padded tables: n marks an empty cell, and rows and columns n
+    # and n + 1 are all n + 1, so a lookup with an unknown argument is n + 1.
+    root = np.full((3, 1, pad, pad), n + 1, dtype=np.intp)
+    root[:, :, :n, :n] = n
+    models, nodes, prunes = _depth_first(opts, root, branch)
+    return models, nodes, forced, prunes
+
+
+def _depth_first(opts: SearchOptions, root, branch) -> tuple[int, int, int]:
+    """The depth-first walk over batches that both searches run, from the
+    batch ``root``: ``(models, nodes, prunes)``.
+
+    ``branch(batch)`` settles a batch and returns ``(t, v, grow, keep,
+    prunes)``: its children in table order as arrays of parent table and
+    symbol, symbol -1 for a parent that is a model; ``grow(t, v)``, which
+    builds the batch of a run of children and returns it with the nodes it
+    places; ``keep(t)``, which keeps the models at parent tables ``t``, or
+    None to keep none; and the number of tables it dropped.
+
+    The children of a batch are cut into batches of at most ``CELLS //
+    n**k`` (k the largest number of variables, at least 2), and all
+    descendants of one batch are walked before the next batch of its
+    siblings.  A run of models is counted, and kept, at once, up to the
+    ``limit``-th model, where the walk stops.
+    """
+    n = opts.order
+    cap = max(1, CELLS // n ** max([2, *(len(ident.vars) for ident in opts.identities)]))
+    limit = opts.limit
+    interval = opts.progress_interval
+    models = nodes = prunes = 0
+    # one frame per settled batch: [child tables, child symbols, grow, keep, next child]
+    frames: list[list] = []
+    batch = root
+    while True:
+        t, v, grow, keep, dropped = branch(batch)
+        prunes += dropped
+        if len(t):
+            frames.append([t, v, grow, keep, 0])
+        batch = None
+        while frames and batch is None:
             frame = frames[-1]
-            parents, t, v, r, c, pos = frame
+            t, v, grow, keep, pos = frame
             if pos == len(t):
                 frames.pop()
             elif v[pos] < 0:
-                frame[5] += 1
-                models += 1
-                if found is not None:
-                    found.append(np.array(parents[0, t[pos], :n, :n], dtype=np.int64))
+                live = np.flatnonzero(v[pos:] >= 0)
+                end = pos + int(live[0]) if live.size else len(t)
+                if limit is not None:
+                    end = min(end, pos + limit - models)
+                frame[4] = end
+                models += end - pos
+                if keep is not None:
+                    keep(t[pos:end])
                 if models == limit:
-                    return models, nodes, forced, prunes
+                    return models, nodes, prunes
             else:
-                # a model within the run rides along unwritten, so that it
-                # reaches the next frame in its place in table order
-                frame[5] = end = min(pos + cap, len(t))
-                kids, sv = t[pos:end], v[pos:end]
-                tabs = parents.take(kids, axis=1)
-                i = np.flatnonzero(sv >= 0)
-                sv, rr, cc = sv[i], r[kids[i]], c[kids[i]]
-                tabs[0, i, rr, cc] = sv
-                tabs[1, i, rr, sv] = cc
-                tabs[2, i, sv, cc] = rr
+                frame[4] = end = min(pos + cap, len(t))
+                batch, placed = grow(t[pos:end], v[pos:end])
                 if interval:
-                    for q in range(nodes // interval + 1, (nodes + len(i)) // interval + 1):
+                    for q in range(nodes // interval + 1, (nodes + placed) // interval + 1):
                         log.info("search order %d: %d nodes, %d models", n, q * interval, models)
-                nodes += len(i)
-        if tabs is None:
-            return models, nodes, forced, prunes
+                nodes += placed
+        if batch is None:
+            return models, nodes, prunes
 
 
 def _full_check(t: np.ndarray, identities: Sequence[Identity]) -> None:
@@ -536,7 +580,7 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
     representative's labelings gave joins that class; any other model is a
     new representative, and every labeling of it is recorded.  Isomorphic
     tables have the same relabeled tables, so this is exact, and only the
-    representatives are wrapped.
+    representatives are wrapped, each on a copy of its own.
     """
     _check_bounds(opts, max_order)
     raw = _search(opts)
@@ -557,6 +601,7 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
                 if bytes(next(_labelings(t))[0]) in leaves:
                     continue
                 leaves.update(bytes(leaf) for leaf, _ in _labelings(t))
+                t = t.copy()        # so that it keeps no block of skipped models alive
             models.append(Quasigroup._checked(t))
     return models
 
@@ -565,9 +610,10 @@ def count(opts: SearchOptions, max_order: Optional[int] = None) -> int:
     """Number of satisfying tables, counted as the search reaches them,
     without keeping them (up to isomorphism, the classes of ``find_all``).
 
-    With no identity this is the row walk, which counts each placement of
-    rows 0 to n - 2 as one model and builds no last row: the 161,280 Latin
-    squares of order 5 take 232,920 nodes.
+    With no identity this is the row walk, which counts the squares of each
+    batch that has rows 0 to n - 2 placed as models and builds no last row:
+    the 161,280 Latin squares of order 5 take 232,920 nodes in 4,249
+    batches.
     """
     if opts.up_to_isomorphism:
         return len(find_all(opts, max_order=max_order))

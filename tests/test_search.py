@@ -340,6 +340,18 @@ def test_search_with_division_identity():
         assert q.unit_predicates().left_unit is not None
 
 
+@pytest.mark.parametrize("n, models", [(1, 1), (2, 0), (3, 4), (4, 58)])
+def test_division_writes_that_clash_drop_the_table(n, models):
+    # the forced writes of this division identity put two values into one
+    # cell of some order-4 table in one settle round, and only the clash
+    # check drops that table: without it the search returns a non-model
+    ident = parse_identity("y\\(y/(y/y)) = y")
+    found = {q.key() for q in find_all(SearchOptions(n, (ident,)))}
+    naive = {Quasigroup([list(r) for r in sq]).key() for sq in all_latin_squares(n)
+             if holds_bruteforce([list(r) for r in sq], ident)}
+    assert found == naive and len(found) == models
+
+
 def test_parastrophe_transfer_at_small_orders():
     for n in (1, 2, 3, 4):
         eq5_models = find_all(SearchOptions(order=n, identities=(builtin("eq5"),)))
@@ -524,3 +536,85 @@ def test_propagating_count_memory_is_bounded(monkeypatch):
     walk, seen = search._propagating_walk, []
     monkeypatch.setattr(search, "_propagating_walk", lambda o, found: seen.append(found) or walk(o, found))
     assert count(opts) == 360 and seen == [None]
+
+
+@pytest.mark.parametrize("n, nodes, prunes, models", [
+    (4, 816, 384, 576),
+    (5, 232_920, 284_280, 161_280),
+])
+def test_row_walk_summary_on_full_enumerations(caplog, n, nodes, prunes, models):
+    # a node is a row placed by branching, a prune a row prefix whose next
+    # cell has no candidate: the counts of the walk one cell at a time
+    assert _summary(caplog, SearchOptions(n)) == {"nodes": nodes, "prunes": prunes, "models": models}
+
+
+BATCH5 = search.CELLS // 5**2       # the squares of one row-walk batch at order 5
+
+
+@pytest.fixture(scope="module")
+def first_order_5_squares():
+    # the propagating walk, sent through by a tautology, is the oracle
+    tautology = (parse_identity("x*y = x*y"),)
+    return search._search(SearchOptions(5, tautology, limit=8000))
+
+
+@pytest.mark.parametrize("limit", [1, BATCH5, BATCH5 + 1, 8000])
+def test_row_walk_limit_keeps_the_first_squares(first_order_5_squares, limit):
+    assert BATCH5 == 655
+    found = search._search(SearchOptions(5, limit=limit))
+    assert len(found) == limit
+    for a, b in zip(found, first_order_5_squares):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert count(SearchOptions(5, limit=limit)) == limit
+
+
+@pytest.mark.parametrize("interval", [1, 7, BATCH5 + 3])
+def test_row_walk_progress_records_every_multiple_of_the_interval(caplog, interval):
+    opts = SearchOptions(5, limit=8000)
+    nodes = _summary(caplog, opts)["nodes"]
+    caplog.clear()
+    records = [r for r in _search_log(caplog, dataclasses.replace(opts, progress_interval=interval))
+               if r.levelno == logging.INFO]
+    assert [int(r.getMessage().split()[3]) for r in records] == \
+        list(range(interval, nodes + 1, interval))
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_symbol_sets_count_and_list_their_members(n):
+    # above order 62 the sets are Python ints in object arrays, which only
+    # a search at order 64 reaches in test time
+    sym = search._Symbols(n)
+    rng = np.random.default_rng(n)
+    sets = [0, (1 << n) - 1, 1 << (n - 1), *(int(rng.integers(0, 2**62)) << 2 | 1 for _ in range(20))]
+    sets = [m & ((1 << n) - 1) for m in sets]
+    m = np.array(sets, dtype=sym.bits.dtype)
+    assert sym.count(m).tolist() == [x.bit_count() for x in sets]
+    members = sym.members(m)
+    assert members.shape == (len(sets), n)
+    assert members.tolist() == [[bool(x >> s & 1) for s in range(n)] for x in sets]
+    assert sym.full == (1 << n) - 1
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_row_walk_first_square_is_the_xor_table(n):
+    # the lex-first Latin square of order 2^k is the table of Z2^k; at order
+    # 64 the symbol sets are Python ints in object arrays
+    (table,) = search._search(SearchOptions(n, limit=1))
+    a = np.arange(n)
+    assert table.dtype == np.int64 and np.array_equal(table, a[:, None] ^ a)
+    assert count(SearchOptions(n, limit=1), max_order=n) == 1
+
+
+def test_propagating_walk_without_identities_enumerates_every_square():
+    assert search._propagating_walk(SearchOptions(4), None)[0] == 576
+
+
+@pytest.mark.parametrize("opts", [SearchOptions(4, up_to_isomorphism=True),
+                                  SearchOptions(5, limit=2000, up_to_isomorphism=True)])
+def test_class_representatives_own_their_tables(opts):
+    # a representative that viewed a batch or a stack of search results
+    # would keep the skipped models alive with it
+    reps = find_all(opts)
+    assert reps
+    for q in reps:
+        assert q.table.base is None and q.table.dtype == np.int64
