@@ -17,8 +17,11 @@ post-order code of ``(op, left_slot, right_slot)`` instructions over the
 variable slots ``0..k-1`` (variables in first-occurrence order), in which
 repeated subterms share a slot.  ``_run`` is the only evaluator; it executes
 that code by table lookups on whatever the variable slots hold.  ``eval_term``
-gives it scalars; the model search gives it flattened full grids and
-sentinel-padded partial tables.
+gives it scalars.  Two consumers give it a stack of tables, read through
+``_Flat`` one flat index per lookup, with sparse variable grids behind a
+leading table axis: the settle rounds of the model search, on its
+sentinel-padded partial tables, and ``_holds_in_each``, which re-checks one
+block of the search's models.
 
 ``holds``, ``counterexample`` and ``_first_violation`` give it sparse index
 grids, so each intermediate spans only the variables it uses, one block of
@@ -403,22 +406,28 @@ def holds(q: Quasigroup, ident: Identity) -> bool:
     return not any(bad.any() for _, bad in _blocks(q, ident, range(len(ident.vars))))
 
 
-class _Stack:
-    """Lookups into a stack of tables at once: ``s[x, y]`` is
-    ``tables[i, x, y]`` for the broadcast table index ``i``."""
+class _Flat:
+    """Lookups ``t[x, y]`` into a raveled stack of tables with rows of
+    ``pad`` cells, at the flat index ``base + x*pad + y``, ``base`` the
+    broadcast offset of each table.  ``_holds_in_each`` reads an (m, n, n)
+    stack with ``pad`` n; the settle rounds of the model search read one
+    operation of a (3, B, n+2, n+2) stack of padded tables with ``pad``
+    n + 2, so that ``base`` picks the operation as well."""
 
-    def __init__(self, tables: np.ndarray, i: np.ndarray):
-        self.tables = tables
-        self.i = i
+    def __init__(self, flat: np.ndarray, base: np.ndarray, pad: int):
+        self.flat = flat
+        self.base = base
+        self.pad = pad
 
     def __getitem__(self, xy):
-        return self.tables[self.i, xy[0], xy[1]]
+        return self.flat.take(self.base + xy[0] * self.pad + xy[1])
 
 
 def _holds_in_each(tables: np.ndarray, ident: Identity) -> bool:
     """True iff the identity holds in each Latin table of the (m, n, n)
     stack ``tables``, by one evaluation over m * n^k cells: the sparse
     variable grids of ``holds`` behind a leading table axis."""
+    m, n = tables.shape[:2]
     k = len(ident.vars)
     prog = ident.program
     ops = {op for op, _, _ in prog.code}
@@ -428,9 +437,9 @@ def _holds_in_each(tables: np.ndarray, ident: Identity) -> bool:
         full[LDIV] = np.argsort(tables, axis=2)
     if RDIV in ops:
         full[RDIV] = np.argsort(tables, axis=1)
-    i = np.arange(len(tables)).reshape((-1,) + (1,) * k)
-    grids = [g[None] for g in np.indices((tables.shape[1],) * k, sparse=True)]
-    vals = _run(prog.code, {op: _Stack(t, i) for op, t in full.items()}, grids)
+    base = (np.arange(m) * (n * n)).reshape((-1,) + (1,) * k)
+    grids = [g[None] for g in np.indices((n,) * k, sparse=True)]
+    vals = _run(prog.code, {op: _Flat(t.reshape(-1), base, n) for op, t in full.items()}, grids)
     return not (vals[prog.lhs] != vals[prog.rhs]).any()
 
 

@@ -68,11 +68,14 @@ those of the next.  Two leaves first differ at the cell where their paths
 split, and the smaller symbol there is tried first, so the models come out
 in table (``_table_key``) order with no sort, and the walk stops at the
 batch that holds the ``limit``-th model, the lexicographically first
-``limit`` of them.  The models are copied into int64 once, a block of
-them per numpy call, and each comes out as an (n, n) view of its block,
-which its ``Quasigroup`` then wraps; up to isomorphism a representative is
-copied again, so that it keeps no block of skipped models alive.  ``count``
-only counts the models and copies none.
+``limit`` of them.  The models of one batch that come out together are
+copied into one int64 (m, n, n) block, and the blocks are the search's only
+result (``_search``).  ``find_all`` re-checks each block as one stack, one
+Latin check and one evaluation of each identity, so a re-check spans at
+most the ``CELLS`` cells of one settle round; then each model's
+``Quasigroup`` wraps an (n, n) view of its block, and up to isomorphism a
+representative is copied again, so that it keeps no block of skipped models
+alive.  ``count`` only counts the models and copies none.
 
 Up to isomorphism, one pass over the models keeps the lex-first model of
 each class.  Each model is labeled once along its first generator sequence
@@ -94,7 +97,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import QuasilabError, TooManyVariables
-from .identities import Identity, LDIV, MUL, RDIV, Program, _holds_in_each, _run, holds
+from .identities import Identity, LDIV, MUL, RDIV, Program, _Flat, _holds_in_each, _run, holds
 from .quasigroup import CANONICAL_MAX_ORDER, Quasigroup, _all_latin, _check_cells, _check_order, _labelings
 
 __all__ = [
@@ -115,10 +118,6 @@ MAX_IDENTITY_VARS = 4
 DEFAULT_MAX_ORDER = 6        # identities with at most 3 variables
 DEFAULT_MAX_ORDER_4VAR = 5
 ENV_MAX_ORDER = "QUASILAB_MAX_ORDER"
-# Cells one re-check of stacked search results evaluates: far within
-# CELL_BUDGET, so that each int64 intermediate stays at 32 KB and the
-# re-check adds nothing to the peak memory of a search.
-CHECK_CELLS = 2**12
 # Cells one settle round of the propagating walk evaluates per identity: a
 # batch holds CELLS // n**k partial tables.  On the find benchmark (2-core
 # shared host) wall_s was 0.270-0.280 s at 2**13, 0.227 s at 2**14 and
@@ -141,6 +140,8 @@ class SearchOptions:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be nonnegative")
+        if self.progress_interval is not None and self.progress_interval < 1:
+            raise ValueError("progress_interval must be positive")
 
 
 def default_max_order(identities: Sequence[Identity]) -> int:
@@ -172,8 +173,9 @@ def _check_bounds(opts: SearchOptions, max_order: Optional[int]) -> None:
 
 
 def _search(opts: SearchOptions) -> list[np.ndarray]:
-    """The models in table order, at most ``opts.limit`` of them, as int64
-    (n, n) arrays, each a view of a block of models copied together."""
+    """The models in table order, at most ``opts.limit`` of them, as a list
+    of C-contiguous int64 (m, n, n) blocks, one per run of models that the
+    walk reached together; a block holds at most ``CELLS // n**k`` tables."""
     found: list[np.ndarray] = []
     _walk(opts, found)
     return found
@@ -181,8 +183,8 @@ def _search(opts: SearchOptions) -> list[np.ndarray]:
 
 def _walk(opts: SearchOptions, found: Optional[list]) -> int:
     """Run the search and return the number of models, at most
-    ``opts.limit``; append each, in table order, to ``found`` as an int64
-    (n, n) array unless ``found`` is None.
+    ``opts.limit``; append them, in table order, to ``found`` as int64
+    (m, n, n) blocks (see ``_search``) unless ``found`` is None.
 
     With no identity the search is ``_row_walk``, which needs no
     propagation and places one cell of every square of a batch per step;
@@ -217,17 +219,12 @@ def _row_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, int, int
     last = n - 1
     total = n * last // 2           # the sum of the symbols of a full column
     sym = _Symbols(n)
-    # The models are kept as uint8 blocks during the walk and copied into
-    # int64 only after it, when the frames are freed, so that the copies do
-    # not fill the heap around the frames.
-    blocks: list[np.ndarray] = []
 
     def branch(batch):
         d, tabs, masks = batch
         r, c = divmod(d, n)
         if r == last:
-            keep = None if found is None else (lambda ts: blocks.append(tabs[ts]))
-            return np.arange(len(tabs)), np.full(len(tabs), -1), None, keep, 0
+            return np.arange(len(tabs)), np.full(len(tabs), -1), None, tabs, 0
         cand = sym.full & ~(masks[:, n] | masks[:, c])
         t, v = np.nonzero(sym.members(cand))
 
@@ -243,28 +240,30 @@ def _row_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, int, int
             # a row is placed, and the next one starts empty
             grown_masks[:, n] = 0
             return (d + 1, grown, grown_masks), len(kids)
-        return t, v, grow, None, int(np.count_nonzero(cand == 0))
+        return t, v, grow, tabs, int(np.count_nonzero(cand == 0))
 
     root = (0, np.zeros((1, n, n), dtype=np.min_scalar_type(last)),
             np.zeros((1, n + 1), dtype=sym.bits.dtype))
-    models, nodes, prunes = _depth_first(opts, root, branch)
-    for done in blocks:
-        done = done.astype(np.int64)
+    models, nodes, prunes = _depth_first(opts, root, branch, found)
+    # The models are kept as uint8 blocks during the walk and copied into
+    # int64 only after it, when the frames are freed, so that the copies do
+    # not fill the heap around the frames.
+    for i, done in enumerate(found or ()):
+        found[i] = done = done.astype(np.int64)
         done[:, last] = total - done[:, :last].sum(1)
-        found.extend(done)
     return models, nodes, n * models, prunes
 
 
 class _Symbols:
     """Sets of the symbols 0..n-1 as bitmasks, bit s for symbol s: the
-    narrowest of uint8, uint16 and uint32 that holds n bits, int64 up to
-    order 62, Python ints in object arrays above.  ``bits[v]`` is {v}
+    narrowest of uint8, uint16, uint32 and uint64 that holds n bits, up to
+    order 64, and Python ints in object arrays above.  ``bits[v]`` is {v}
     for a symbol and the empty set for the sentinels n and n + 1, so
     ``bits[t]`` ORed along a row of a padded table is the set the row
     uses.  A popcount table counts members 16 bits at a time."""
 
     def __init__(self, n: int):
-        kind = next((k for k, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.int64, 62))
+        kind = next((k for k, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.uint64, 64))
                      if n <= bits), object)
         self.bits = np.array([1 << v for v in range(n)] + [0, 0], dtype=kind)
         self.full = np.bitwise_or.reduce(self.bits)
@@ -286,21 +285,6 @@ class _Symbols:
     def members(self, m: np.ndarray) -> np.ndarray:
         """The membership of each symbol, on a new last axis of length n."""
         return (m[..., None] & self.bits[:-2]) != 0
-
-
-class _Flat:
-    """Lookups ``t[x, y]`` into one operation of a raveled (3, B, n+2, n+2)
-    stack of padded tables, at the flat index ``base + x*(n+2) + y``;
-    ``base`` picks the operation and, along its leading axis, the table, as
-    the table index of ``identities._Stack`` does."""
-
-    def __init__(self, flat: np.ndarray, base: np.ndarray, pad: int):
-        self.flat = flat
-        self.base = base
-        self.pad = pad
-
-    def __getitem__(self, xy):
-        return self.flat.take(self.base + xy[0] * self.pad + xy[1])
 
 
 def _at(x: np.ndarray, where: tuple) -> np.ndarray:
@@ -478,52 +462,54 @@ def _propagating_walk(opts: SearchOptions, found: Optional[list]) -> tuple[int, 
             grown[2, i, sv, cc] = rr
             return grown, len(i)
 
-        keep = None if found is None else (
-            lambda ts: found.extend(np.asarray(tabs[0, ts, :n, :n], dtype=np.int64)))
-        return t, v, grow, keep, dropped
+        return t, v, grow, tabs[0, :, :n, :n], dropped
 
     # Sentinel-padded tables: n marks an empty cell, and rows and columns n
     # and n + 1 are all n + 1, so a lookup with an unknown argument is n + 1.
     root = np.full((3, 1, pad, pad), n + 1, dtype=np.intp)
     root[:, :, :n, :n] = n
-    models, nodes, prunes = _depth_first(opts, root, branch)
+    models, nodes, prunes = _depth_first(opts, root, branch, found)
     return models, nodes, forced, prunes
 
 
-def _depth_first(opts: SearchOptions, root, branch) -> tuple[int, int, int]:
+def _depth_first(opts: SearchOptions, root, branch, found: Optional[list]) -> tuple[int, int, int]:
     """The depth-first walk over batches that both searches run, from the
     batch ``root``: ``(models, nodes, prunes)``.
 
-    ``branch(batch)`` settles a batch and returns ``(t, v, grow, keep,
+    ``branch(batch)`` settles a batch and returns ``(t, v, grow, tables,
     prunes)``: its children in table order as arrays of parent table and
     symbol, symbol -1 for a parent that is a model; ``grow(t, v)``, which
     builds the batch of a run of children and returns it with the nodes it
-    places; ``keep(t)``, which keeps the models at parent tables ``t``, or
-    None to keep none; and the number of tables it dropped.
+    places; the batch's (B, n, n) tables; and the number of tables it
+    dropped.
 
     The children of a batch are cut into batches of at most ``CELLS //
     n**k`` (k the largest number of variables, at least 2), and all
     descendants of one batch are walked before the next batch of its
-    siblings.  A run of models is counted, and kept, at once, up to the
-    ``limit``-th model, where the walk stops.
+    siblings.  A run of models is counted at once, up to the ``limit``-th
+    model, where the walk stops.  Its parents are consecutive tables, as a
+    table that is not a model has a child that is not, so unless ``found``
+    is None the run is appended to it as one C-contiguous block: the slice
+    of ``tables`` itself where that is contiguous (the row walk's uint8
+    squares), else a copy (the padded tables of the propagating walk).
     """
     n = opts.order
     cap = max(1, CELLS // n ** max([2, *(len(ident.vars) for ident in opts.identities)]))
     limit = opts.limit
     interval = opts.progress_interval
     models = nodes = prunes = 0
-    # one frame per settled batch: [child tables, child symbols, grow, keep, next child]
+    # one frame per settled batch: [child tables, child symbols, grow, tables, next child]
     frames: list[list] = []
     batch = root
     while True:
-        t, v, grow, keep, dropped = branch(batch)
+        t, v, grow, tables, dropped = branch(batch)
         prunes += dropped
         if len(t):
-            frames.append([t, v, grow, keep, 0])
+            frames.append([t, v, grow, tables, 0])
         batch = None
         while frames and batch is None:
             frame = frames[-1]
-            t, v, grow, keep, pos = frame
+            t, v, grow, tables, pos = frame
             if pos == len(t):
                 frames.pop()
             elif v[pos] < 0:
@@ -533,8 +519,8 @@ def _depth_first(opts: SearchOptions, root, branch) -> tuple[int, int, int]:
                     end = min(end, pos + limit - models)
                 frame[4] = end
                 models += end - pos
-                if keep is not None:
-                    keep(t[pos:end])
+                if found is not None:
+                    found.append(np.ascontiguousarray(tables[t[pos]:t[end - 1] + 1]))
                 if models == limit:
                     return models, nodes, prunes
             else:
@@ -568,11 +554,11 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
     ``limit`` bounds the labeled models searched, so the result is the
     classes among the first ``limit`` models.
 
-    The results are re-checked in chunks of stacked tables, at most
-    ``CHECK_CELLS`` evaluated cells each: one Latin check and one
-    exhaustive evaluation of each identity per chunk.  A chunk that fails
-    is checked table by table with the ``Quasigroup`` constructor and
-    ``holds``, which name the first defect.
+    The results are re-checked block by block as ``_search`` built them,
+    so one re-check spans at most the ``CELLS`` cells of one settle round:
+    one Latin check and one exhaustive evaluation of each identity per
+    block.  A block that fails is checked table by table with the
+    ``Quasigroup`` constructor and ``holds``, which name the first defect.
 
     Up to isomorphism, the representative of a class is its lex-first
     model.  The models are passed once: a model whose first labeling
@@ -583,20 +569,16 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
     representatives are wrapped, each on a copy of its own.
     """
     _check_bounds(opts, max_order)
-    raw = _search(opts)
-    n = opts.order
-    per = max(1, CHECK_CELLS // n ** max([2, *(len(i.vars) for i in opts.identities)]))
+    blocks = _search(opts)[::-1]
     models = []
     # relabeled tables as bytes, exact up to CANONICAL_MAX_ORDER < 256
     leaves: set[bytes] = set()
-    while raw:
-        tables = raw[:per]
-        del raw[:per]       # so that a table skipped up to isomorphism is freed at once
-        chunk = np.stack(tables)
-        if not (_all_latin(chunk) and all(_holds_in_each(chunk, i) for i in opts.identities)):
-            for t in tables:
+    while blocks:
+        block = blocks.pop()        # so that up to isomorphism it is freed once passed
+        if not (_all_latin(block) and all(_holds_in_each(block, i) for i in opts.identities)):
+            for t in block:
                 _full_check(t, opts.identities)
-        for t in tables:
+        for t in block:
             if opts.up_to_isomorphism:
                 if bytes(next(_labelings(t))[0]) in leaves:
                     continue

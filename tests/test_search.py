@@ -36,6 +36,10 @@ from quasilab.quasigroup import _table_key
 from oracles import all_latin_squares, holds_bruteforce, naive_canonical_form
 
 
+def _tables(opts):
+    return [t for block in search._search(opts) for t in block]
+
+
 def _search_identity_strategy():
     leaves = st.sampled_from(["x", "y", "z"]).map(Var)
     terms = st.recursive(
@@ -74,8 +78,8 @@ def test_order_5_census():
 def test_row_walk_equals_the_propagating_walk(n, limit):
     # a tautology sends the search through the propagating walk
     tautology = (parse_identity("x*y = x*y"),)
-    rows = search._search(SearchOptions(n, limit=limit))
-    propagated = search._search(SearchOptions(n, tautology, limit=limit))
+    rows = _tables(SearchOptions(n, limit=limit))
+    propagated = _tables(SearchOptions(n, tautology, limit=limit))
     assert len(rows) == len(propagated)
     for a, b in zip(rows, propagated):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -181,7 +185,7 @@ def test_class_pass_equals_the_canonical_key_classes_at_larger_orders(opts, max_
 
 def _search_adding(monkeypatch, table):
     searched = search._search
-    monkeypatch.setattr(search, "_search", lambda opts: searched(opts) + [np.array(table)])
+    monkeypatch.setattr(search, "_search", lambda opts: searched(opts) + [np.array([table])])
 
 
 def test_class_pass_rejects_a_non_latin_table(monkeypatch):
@@ -225,7 +229,7 @@ def test_limit_zero_keeps_nothing():
     opts = SearchOptions(3, limit=0)
     assert count(opts) == 0
     assert find_all(opts) == []
-    assert search._search(opts) == []
+    assert _tables(opts) == []
 
 
 @pytest.mark.parametrize("name", [None, *builtin_names()])
@@ -259,7 +263,7 @@ def test_count_keeps_no_table():
 def test_search_yields_models_in_table_order(name):
     idents = () if name is None else (builtin(name),)
     for n in range(1, 5):
-        keys = [_table_key(t) for t in search._search(SearchOptions(n, idents))]
+        keys = [_table_key(t) for t in _tables(SearchOptions(n, idents))]
         assert all(a < b for a, b in zip(keys, keys[1:])), f"{name} at order {n}"
 
 
@@ -376,6 +380,13 @@ def test_invalid_options():
         SearchOptions(order=0)
     with pytest.raises(ValueError):
         SearchOptions(order=3, limit=-1)
+
+
+@pytest.mark.parametrize("interval", [0, -5])
+def test_a_progress_interval_below_one_is_refused(interval):
+    with pytest.raises(ValueError, match="^progress_interval must be positive$"):
+        SearchOptions(4, progress_interval=interval)
+    assert SearchOptions(4, progress_interval=1).progress_interval == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,7 +517,7 @@ def test_limit_across_batches_keeps_the_lex_first_models(limit):
 
 @pytest.mark.parametrize("name", ["neumann", "schweizer"])
 def test_batched_walk_yields_models_in_table_order(name):
-    keys = [_table_key(t) for t in search._search(SearchOptions(6, (builtin(name),)))]
+    keys = [_table_key(t) for t in _tables(SearchOptions(6, (builtin(name),)))]
     assert len(keys) == 360
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -555,13 +566,13 @@ BATCH5 = search.CELLS // 5**2       # the squares of one row-walk batch at order
 def first_order_5_squares():
     # the propagating walk, sent through by a tautology, is the oracle
     tautology = (parse_identity("x*y = x*y"),)
-    return search._search(SearchOptions(5, tautology, limit=8000))
+    return _tables(SearchOptions(5, tautology, limit=8000))
 
 
 @pytest.mark.parametrize("limit", [1, BATCH5, BATCH5 + 1, 8000])
 def test_row_walk_limit_keeps_the_first_squares(first_order_5_squares, limit):
     assert BATCH5 == 655
-    found = search._search(SearchOptions(5, limit=limit))
+    found = _tables(SearchOptions(5, limit=limit))
     assert len(found) == limit
     for a, b in zip(found, first_order_5_squares):
         assert a.dtype == np.int64 and np.array_equal(a, b)
@@ -579,10 +590,10 @@ def test_row_walk_progress_records_every_multiple_of_the_interval(caplog, interv
         list(range(interval, nodes + 1, interval))
 
 
-@pytest.mark.parametrize("n", [62, 63, 64])
+@pytest.mark.parametrize("n", [62, 63, 64, 65])
 def test_symbol_sets_count_and_list_their_members(n):
-    # above order 62 the sets are Python ints in object arrays, which only
-    # a search at order 64 reaches in test time
+    # up to order 64 the sets are uint64, and above it Python ints in
+    # object arrays, which no search reaches in test time
     sym = search._Symbols(n)
     rng = np.random.default_rng(n)
     sets = [0, (1 << n) - 1, 1 << (n - 1), *(int(rng.integers(0, 2**62)) << 2 | 1 for _ in range(20))]
@@ -598,8 +609,8 @@ def test_symbol_sets_count_and_list_their_members(n):
 @pytest.mark.parametrize("n", [16, 64])
 def test_row_walk_first_square_is_the_xor_table(n):
     # the lex-first Latin square of order 2^k is the table of Z2^k; at order
-    # 64 the symbol sets are Python ints in object arrays
-    (table,) = search._search(SearchOptions(n, limit=1))
+    # 64 the symbol sets fill all 64 bits of uint64
+    (table,) = _tables(SearchOptions(n, limit=1))
     a = np.arange(n)
     assert table.dtype == np.int64 and np.array_equal(table, a[:, None] ^ a)
     assert count(SearchOptions(n, limit=1), max_order=n) == 1
@@ -618,3 +629,51 @@ def test_class_representatives_own_their_tables(opts):
     assert reps
     for q in reps:
         assert q.table.base is None and q.table.dtype == np.int64
+
+
+@pytest.mark.parametrize("names, n, limit", [
+    *(((), n, None) for n in range(1, 6)),
+    ((), 6, 500),
+    (("neumann",), 6, None),
+    (("eq5",), 5, None),
+    (("medial",), 4, None),
+    (("commutative", "associative"), 5, None),
+])
+def test_search_returns_contiguous_int64_blocks_in_table_order(names, n, limit):
+    opts = SearchOptions(n, tuple(builtin(name) for name in names), limit=limit)
+    cap = max(1, search.CELLS // n ** max([2, *(len(i.vars) for i in opts.identities)]))
+    blocks = search._search(opts)
+    assert blocks
+    for block in blocks:
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+        assert block.shape[1:] == (n, n) and 1 <= len(block) <= cap
+    keys = [_table_key(t) for block in blocks for t in block]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert limit is None or len(keys) == limit
+
+
+def _search_replacing_a_middle_table(monkeypatch, opts, table):
+    # the search's own blocks, with the middle table of the largest replaced
+    blocks = search._search(opts)
+    block = max(blocks, key=len)
+    assert len(block) >= 3
+    block[len(block) // 2] = table
+    monkeypatch.setattr(search, "_search", lambda o: blocks)
+
+
+@pytest.mark.parametrize("iso", [False, True])
+def test_recheck_names_a_non_latin_table_inside_a_block(monkeypatch, iso):
+    opts = SearchOptions(4, up_to_isomorphism=iso)
+    _search_replacing_a_middle_table(monkeypatch, opts, np.tile(np.arange(4), (4, 1)))
+    with pytest.raises(NotLatin):
+        find_all(opts)
+
+
+@pytest.mark.parametrize("iso", [False, True])
+def test_recheck_names_a_latin_non_model_inside_a_block(monkeypatch, iso):
+    z6 = (np.arange(6)[:, None] + np.arange(6)) % 6
+    assert not holds(Quasigroup(z6), builtin("neumann"))
+    opts = _neumann6(up_to_isomorphism=iso)
+    _search_replacing_a_middle_table(monkeypatch, opts, z6)
+    with pytest.raises(AssertionError, match="non-model of"):
+        find_all(opts)
