@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import sys
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import structure
 from .abelian import recover_group, subtraction_quasigroup
@@ -55,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite quasigroup laboratory: identity checking, model search, structure analysis.",
     )
     p.add_argument("--max-order", type=int, default=None,
-                   help="override the search/analysis order bound (env: QUASILAB_MAX_ORDER)")
+                   help="override the search/analysis order bound (env QUASILAB_MAX_ORDER: search default only)")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log progress to stderr (stdout is unchanged)")
@@ -164,18 +167,16 @@ def _analyze_report(q: Quasigroup, max_order: Optional[int]) -> dict:
     with contextlib.suppress(OrderTooLarge):
         report["automorphism_count"] = structure.automorphism_count(q, **bound)
     try:
-        ats = structure.autotopies(q, **bound)
+        images = structure._autotopy_images(q, **bound)
     except OrderTooLarge:
         return report
-    report["autotopy_count"] = len(ats)
-    ga = structure.is_ga(q, **bound)
-    gp = structure.is_g(q, **bound)
-    report["ga"] = {"left_ga": ga.left_ga, "right_ga": ga.right_ga, "ga": ga.ga}
-    report["g"] = {"left_g": gp.left_g, "right_g": gp.right_g}
+    report["autotopy_count"] = len(images)
+    report["ga"] = dataclasses.asdict(structure.is_ga(q, **bound))
+    report["g"] = dataclasses.asdict(structure.is_g(q, **bound))
     if report["identities"]["neumann"]:
         # the n^2 * |Aut| built triples are autotopies of x - y: equal iff all decompose
         try:
-            report["decomposition_ok"] = ats == structure._subtraction_autotopies(recover_group(q))
+            report["decomposition_ok"] = np.array_equal(images, structure._subtraction_images(recover_group(q)))
         except QuasilabError:
             report["decomposition_ok"] = False
     return report

@@ -25,13 +25,12 @@ class Permutation:
     __slots__ = ("_image", "_array")
 
     def __init__(self, image: Sequence[int] | np.ndarray):
-        try:
-            arr = np.array(image, dtype=np.int64)
-        except TypeError:  # an iterator, or another Permutation
-            arr = np.array(list(image), dtype=np.int64)
+        # iterators are listed first; numpy reads [] as floats, other floats and bools are refused
+        arr = np.array(image if isinstance(image, (Sequence, np.ndarray)) else list(image))
         img = tuple(arr.tolist())
-        if arr.ndim != 1 or sorted(img) != list(range(len(img))):
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu") or sorted(img) != list(range(len(img))):
             raise ValueError(f"not a bijection of 0..{len(img) - 1}: {img}")
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         self._image = img
         self._array = arr

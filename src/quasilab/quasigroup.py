@@ -405,7 +405,7 @@ class Quasigroup:
     def _check_elem(self, *xs: int) -> None:
         n = self.order
         for x in xs:
-            if not (0 <= x < n):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
                 raise OutOfRange(f"element {x} outside 0..{n - 1}")
 
     # -- operation and divisions -------------------------------------------------

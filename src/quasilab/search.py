@@ -136,6 +136,9 @@ class SearchOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "identities", tuple(self.identities))
+        values = (self.order, self.limit, self.progress_interval)
+        if any(v is not None and not isinstance(v, (int, np.integer)) for v in values):
+            raise ValueError(f"order, limit and progress_interval must be integers, got {values}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.limit is not None and self.limit < 0:

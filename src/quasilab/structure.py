@@ -13,7 +13,7 @@ gamma) is an isomorphism gamma from the principal isotope P_00 onto P_ab,
 where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0): one
 record of P_00 is matched against the n^2 tables P_ab, and alpha and beta
 are read off all gamma by two gathers.  The group is cached as one image
-array, and every list of it is sorted and built in one checked pass.
+array sorted once; only the public lists build ``Autotopy`` objects.
 One-sided pseudoautomorphisms are, for each companion c, the isomorphisms
 from q's record onto one derived Latin square, n targets per side.
 Nuclei are read off the failures of the catalog's associative law, and
@@ -109,14 +109,19 @@ def autotopies(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autot
     The enumeration is cached for the last few tables; each call returns a
     fresh list.
     """
+    return _autotopy_list(_autotopy_images(q, max_order))
+
+
+def _autotopy_images(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> np.ndarray:
+    """The cached (m, 3, n) autotopy image array of q, refused above ``max_order``."""
     _check_order(q.order, max_order, "autotopy")
-    return _autotopy_list(_autotopy_group(q))
+    return _autotopy_group(q)
 
 
 # Quasigroups are immutable and hash by table, so equal tables share an entry.
 @functools.lru_cache(maxsize=8)
 def _autotopy_group(q: Quasigroup) -> np.ndarray:
-    """The autotopy group as a read-only, unsorted (m, 3, n) array of images."""
+    """The autotopy group as a read-only (m, 3, n) image array in ``sort_key`` order."""
     n = q.order
     tab = q.table
     ldiv = q.ldiv_table
@@ -130,15 +135,19 @@ def _autotopy_group(q: Quasigroup) -> np.ndarray:
             # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
             gammas = p00.isomorphisms(tab[np.ix_(rdiv[:, a], ldiv[b])])
             found.append(np.stack([rdiv[gammas[:, col0], a], ldiv[b, gammas[:, row0]], gammas], axis=1))
-    images = np.concatenate(found)
-    images.setflags(write=False)
-    return images
+    return _sorted_images(np.concatenate(found))
+
+
+def _sorted_images(images: np.ndarray) -> np.ndarray:
+    """(m, 3, n) triples of images in ``Autotopy.sort_key`` order, read-only."""
+    ordered = images[np.lexsort(images.reshape(len(images), -1).T[::-1])]
+    ordered.setflags(write=False)
+    return ordered
 
 
 def _autotopy_list(images: np.ndarray) -> list[Autotopy]:
-    """Autotopies from (m, 3, n) images in ``sort_key`` order: one lexsort, one checked pass."""
-    ordered = images[np.lexsort(images.reshape(len(images), -1).T[::-1])]
-    return [Autotopy(*t) for t in zip(*(Permutation.rows(ordered[:, k]) for k in range(3)))]
+    """Autotopies from (m, 3, n) images, in row order, in one checked pass."""
+    return [Autotopy(*t) for t in zip(*(Permutation.rows(images[:, k]) for k in range(3)))]
 
 
 def automorphisms(q: Quasigroup, max_order: int = AUTOMORPHISM_MAX_ORDER) -> list[Permutation]:
@@ -194,14 +203,13 @@ def decompose_autotopy(q: Quasigroup, t: Autotopy,
     return AutotopyDecomposition(a=a, b=b, theta=Permutation(theta))
 
 
-def _subtraction_autotopies(g: AbelianGroup) -> list[Autotopy]:
-    """Every (L+_a, L+_(-b), L+_(a+b)).theta over g, sorted like
-    :func:`autotopies`: one triple per (a, b, theta), never deduplicated, so
-    it equals the autotopy list of x - y exactly when the factorisation is
-    onto and one-to-one."""
+def _subtraction_images(g: AbelianGroup) -> np.ndarray:
+    """Every (L+_a, L+_(-b), L+_(a+b)).theta over g, sorted like :func:`_autotopy_group`: one
+    triple per (a, b, theta), never deduplicated, so it equals the autotopy array of x - y
+    exactly when the factorisation is onto and one-to-one."""
     lt = g.table[:, g.labeled.images]        # lt[c, k] = L+_c . theta_k
     comps = np.broadcast_arrays(lt[:, None], lt[g.neg][None], lt[g.table])
-    return _autotopy_list(np.stack(comps, axis=3).reshape(-1, 3, g.order))
+    return _sorted_images(np.stack(comps, axis=3).reshape(-1, 3, g.order))
 
 
 @dataclass(frozen=True)
@@ -261,8 +269,7 @@ def a_pseudoautomorphisms(q: Quasigroup, side: str,
                           max_order: int = AUTOTOPY_MAX_ORDER) -> list[Autotopy]:
     """Autotopies of shape (alpha, beta, beta) (right) or (alpha, beta, alpha) (left)."""
     _check_side(side)
-    _check_order(q.order, max_order, "autotopy")
-    images = _autotopy_group(q)
+    images = _autotopy_images(q, max_order)
     return _autotopy_list(images[(images[:, 1 if side == "right" else 0] == images[:, 2]).all(axis=1)])
 
 
@@ -302,8 +309,7 @@ def _third_components_transitive(gammas: np.ndarray) -> bool:
 
 def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
     """GA flags: transitivity of third components of A-pseudoautomorphisms."""
-    _check_order(q.order, max_order, "autotopy")
-    images = _autotopy_group(q)
+    images = _autotopy_images(q, max_order)
     right_ga = _third_components_transitive(images[(images[:, 1] == images[:, 2]).all(axis=1), 2])
     left_ga = _third_components_transitive(images[(images[:, 0] == images[:, 2]).all(axis=1), 2])
     return GAProfile(left_ga=left_ga, right_ga=right_ga, ga=left_ga and right_ga)

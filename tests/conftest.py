@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from quasilab import (Autotopy, Permutation, Quasigroup, cyclic, parse_group_spec, structure,
-                      subtraction_quasigroup)
+from quasilab import Quasigroup, cyclic, parse_group_spec, structure, subtraction_quasigroup
 
 
 def addition_table(n: int) -> np.ndarray:
@@ -55,13 +54,14 @@ def no_right_unit_q5():
 
 @pytest.fixture
 def forged_autotopies(monkeypatch):
-    """``structure.autotopies`` with its last triple swapped for
+    """``structure._autotopy_images`` with its last row swapped for
     (e, e, (0 1)), which no (L+_a, L+_(-b), L+_(a+b)).theta is: alpha = e
     and beta = e force a = b = 0 and theta = e, so gamma = e."""
-    listed = structure.autotopies
+    cached = structure._autotopy_images
 
-    def forged(q, **kwargs):
-        e = Permutation.identity(q.order)
-        return listed(q, **kwargs)[:-1] + [Autotopy(e, e, Permutation([1, 0, *range(2, q.order)]))]
+    def forged(q, *args, **kwargs):
+        images = cached(q, *args, **kwargs).copy()
+        images[-1] = [range(q.order), range(q.order), [1, 0, *range(2, q.order)]]
+        return images
 
-    monkeypatch.setattr(structure, "autotopies", forged)
+    monkeypatch.setattr(structure, "_autotopy_images", forged)

@@ -155,7 +155,7 @@ def test_eval_unbound(z4_sub):
 
 
 def test_eval_out_of_range_does_not_wrap(z4_sub):
-    for bad in (-1, 4):
+    for bad in (-1, 4, 1.5, 1.0, True):
         with pytest.raises(OutOfRange):
             eval_term(z4_sub, parse_term("x*y"), {"x": bad, "y": 0})
 

@@ -20,6 +20,19 @@ def test_invalid_image_rejected():
         Permutation([1, 2, 3])
 
 
+@pytest.mark.parametrize("image", [[0.5, 1.5], [1.0, 0.0], [True, False], np.array([0.0, 1.0])])
+def test_non_integer_images_are_refused(image):
+    with pytest.raises(ValueError):
+        Permutation(image)
+
+
+@pytest.mark.parametrize("image", [[], (), range(0), np.array([])])
+def test_an_empty_sequence_is_the_degree_0_permutation(image):
+    p = Permutation(image)
+    assert p.degree == 0 and p == Permutation.identity(0)
+    assert p.array.dtype == np.int64
+
+
 def test_any_iterable_of_images_is_accepted():
     p = Permutation([1, 2, 0])
     assert Permutation(p) == Permutation(iter([1, 2, 0])) == Permutation(p.array) == p

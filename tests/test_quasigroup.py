@@ -142,6 +142,16 @@ def test_mul_out_of_range(z3_sub):
         z3_sub.rdiv(-1, 0)
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, np.float64(0)])
+def test_a_non_integer_element_is_out_of_range(z3_sub, bad):
+    for call in (lambda: z3_sub.mul(bad, 0), lambda: z3_sub.mul(0, bad), lambda: z3_sub.ldiv(bad, 0),
+                 lambda: z3_sub.rdiv(0, bad), lambda: z3_sub.translation("left", bad),
+                 lambda: z3_sub.right_translation(bad)):
+        with pytest.raises(OutOfRange):
+            call()
+    assert z3_sub.mul(np.int64(1), np.uint8(2)) == 2
+
+
 def test_ldiv_example(z3_sub):
     # 1 * z = 2 means 1 - z = 2, so z = 2
     assert z3_sub.ldiv(1, 2) == 2

@@ -380,6 +380,10 @@ def test_invalid_options():
         SearchOptions(order=0)
     with pytest.raises(ValueError):
         SearchOptions(order=3, limit=-1)
+    for bad in ({"order": 2.5}, {"order": 3, "limit": 1.5}, {"order": 3, "progress_interval": 0.5}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SearchOptions(**bad)
+    assert SearchOptions(np.int64(3), limit=np.int64(1)).limit == 1
 
 
 @pytest.mark.parametrize("interval", [0, -5])

@@ -4,6 +4,7 @@ import pytest
 
 from quasilab import OrderTooLarge, Permutation, Quasigroup, run_verification, structure, verification
 from quasilab.abelian import ENUMERATION_MAX_ORDER
+from quasilab.cli import _analyze_report
 from quasilab.verification import NEUMANN_INSTANCES, ClaimRecord
 
 
@@ -36,12 +37,13 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_default_run_lists_autotopies_once_per_instance_and_claim(monkeypatch):
-    # T7_C1 and L1_T11 each list the autotopies of every instance once;
-    # pseudoautomorphisms and the G profile must not list them at all
-    calls = _count_calls(monkeypatch, "autotopies")
+def test_default_run_and_analyze_build_no_autotopy_list(monkeypatch, z5_sub):
+    # the claims and the CLI count and compare the cached image array;
+    # only the public list functions turn it into Autotopy objects
+    calls = _count_calls(monkeypatch, "_autotopy_list")
     assert run_verification().overall
-    assert len(calls) <= 2 * len(NEUMANN_INSTANCES)
+    assert _analyze_report(z5_sub, None)["decomposition_ok"] is True
+    assert calls == []
 
 
 def test_t4_searches_pseudoautomorphisms_once_per_class_and_side(monkeypatch):
@@ -94,10 +96,10 @@ def test_t4_fails_on_a_nontrivial_witness_without_a_unit(monkeypatch):
 
 
 def test_default_run_builds_each_instance_group_once(monkeypatch):
-    # T7_C1 compares the autotopy list with one built group per instance;
+    # T7_C1 compares the autotopy array with one built group per instance;
     # no claim factors the autotopies one at a time
     decomposed = _count_calls(monkeypatch, "decompose_autotopy")
-    built = _count_calls(monkeypatch, "_subtraction_autotopies")
+    built = _count_calls(monkeypatch, "_subtraction_images")
     assert run_verification().overall
     assert decomposed == []
     # Z3, Z4, Z2xZ2, Z5 and Z6
