@@ -26,9 +26,9 @@ from .errors import (
     NotSquare,
     RepresentationMismatch,
 )
-from .identities import _first_violation, builtin
+from .identities import _first_violation, _holds_in_each, builtin
 from .permutations import Permutation
-from .quasigroup import AUTOMORPHISM_MAX_ORDER, Quasigroup, _check_cells, _check_order
+from .quasigroup import AUTOMORPHISM_MAX_ORDER, Quasigroup, _check_cells, _check_order, _units
 
 __all__ = [
     "AbelianGroup",
@@ -72,9 +72,7 @@ class AbelianGroup(Quasigroup):
         derive ``zero`` and ``neg``; ``Quasigroup._checked`` reaches this
         without the Latin check."""
         super()._fill(table, label)
-        arr = self.table
-        idx = np.arange(self.order)
-        units = np.nonzero((arr == idx[None, :]).all(axis=1) & (arr == idx[:, None]).all(axis=0))[0]
+        units = np.flatnonzero(np.logical_and(*_units(self.table)))
         if not units.size:
             raise NotAbelianGroup("two-sided unit exists")
         zero = int(units[0])
@@ -82,7 +80,7 @@ class AbelianGroup(Quasigroup):
             bad = _first_violation(self, builtin(law))
             if bad is not None:
                 raise NotAbelianGroup(axiom, bad)
-        neg = (arr == zero).argmax(axis=1).astype(np.int64)
+        neg = (self.table == zero).argmax(axis=1).astype(np.int64)
         neg.setflags(write=False)
         self._zero = zero
         self._neg = neg
@@ -211,9 +209,7 @@ def recover_group(q: Quasigroup) -> AbelianGroup:
     pair/triple) or :class:`RepresentationMismatch`.
     """
     t = q.table
-    n = q.order
-    idx = np.arange(n)
-    right_units = np.nonzero((t == idx[:, None]).all(axis=0))[0]
+    right_units = np.flatnonzero(_units(t)[1])
     if not right_units.size:
         raise NoRightUnit(f"no column of the table is the identity map")
     e = int(right_units[0])
@@ -225,6 +221,15 @@ def recover_group(q: Quasigroup) -> AbelianGroup:
         x, y = (int(v) for v in bad[0])
         raise RepresentationMismatch(x, y)
     return group
+
+
+def _abelian_in_each(tables: np.ndarray) -> np.ndarray:
+    """Mask of the tables of a Latin (m, n, n) stack that are abelian groups:
+    a two-sided unit, then the catalog's commutative and associative laws."""
+    ok = np.logical_and(*_units(tables)).any(axis=-1)
+    for law in ("commutative", "associative"):
+        ok[ok] = _holds_in_each(tables[ok], builtin(law))
+    return ok
 
 
 def two_torsion(g: AbelianGroup) -> set[int]:

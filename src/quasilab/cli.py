@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     v = sub.add_parser("verify-paper", help="run the built-in claim verification suite")
-    v.add_argument("--max-autotopy-order", type=int)
-    v.add_argument("--max-construction-order", type=int)
+    v.add_argument("--max-autotopy-order", type=_int_at_least(0))
+    v.add_argument("--max-construction-order", type=_int_at_least(0))
     v.add_argument("--debug-mutate-rows", type=_row_pair, default=None, metavar="R1,R2",
                    help="testing hook: swap two rows in constructed tables (must cause failures)")
     return p

@@ -20,8 +20,9 @@ that code by table lookups on whatever the variable slots hold.  ``eval_term``
 gives it scalars.  Two consumers give it a stack of tables, read through
 ``_Flat`` one flat index per lookup, with sparse variable grids behind a
 leading table axis: the settle rounds of the model search, on its
-sentinel-padded partial tables, and ``_holds_in_each``, which re-checks one
-block of the search's models.
+sentinel-padded partial tables, and ``_holds_in_each``, which masks the
+tables of a Latin stack that satisfy an identity, in chunks of at most
+``BLOCK_CELLS`` cells (one table at least), so a search block is one chunk.
 
 ``holds``, ``counterexample`` and ``_first_violation`` give it sparse index
 grids, so each intermediate spans only the variables it uses, one block of
@@ -423,24 +424,30 @@ class _Flat:
         return self.flat.take(self.base + xy[0] * self.pad + xy[1])
 
 
-def _holds_in_each(tables: np.ndarray, ident: Identity) -> bool:
-    """True iff the identity holds in each Latin table of the (m, n, n)
-    stack ``tables``, by one evaluation over m * n^k cells: the sparse
-    variable grids of ``holds`` behind a leading table axis."""
+def _holds_in_each(tables: np.ndarray, ident: Identity) -> np.ndarray:
+    """Mask of the Latin tables of the (m, n, n) stack ``tables`` in which
+    the identity holds: the sparse variable grids of ``holds`` behind a
+    leading table axis, over chunks of at most ``BLOCK_CELLS`` cells (one
+    table at least)."""
     m, n = tables.shape[:2]
     k = len(ident.vars)
+    _check_cells(n, k)
     prog = ident.program
     ops = {op for op, _, _ in prog.code}
-    full = {MUL: tables}
-    # argsort of a permutation row is its inverse, as in Quasigroup.ldiv_table
-    if LDIV in ops:
-        full[LDIV] = np.argsort(tables, axis=2)
-    if RDIV in ops:
-        full[RDIV] = np.argsort(tables, axis=1)
-    base = (np.arange(m) * (n * n)).reshape((-1,) + (1,) * k)
     grids = [g[None] for g in np.indices((n,) * k, sparse=True)]
-    vals = _run(prog.code, {op: _Flat(t.reshape(-1), base, n) for op, t in full.items()}, grids)
-    return not (vals[prog.lhs] != vals[prog.rhs]).any()
+    step = max(1, BLOCK_CELLS // n**k)
+    out = np.empty(m, dtype=bool)
+    for lo in range(0, m, step):
+        full = {MUL: tables[lo:lo + step]}
+        # argsort of a permutation row is its inverse, as in Quasigroup.ldiv_table
+        if LDIV in ops:
+            full[LDIV] = np.argsort(full[MUL], axis=2)
+        if RDIV in ops:
+            full[RDIV] = np.argsort(full[MUL], axis=1)
+        base = (np.arange(len(full[MUL])) * (n * n)).reshape((-1,) + (1,) * k)
+        vals = _run(prog.code, {op: _Flat(t.reshape(-1), base, n) for op, t in full.items()}, grids)
+        out[lo:lo + step] = ~(vals[prog.lhs] != vals[prog.rhs]).any(axis=tuple(range(1, k + 1)))
+    return out
 
 
 def counterexample(q: Quasigroup, ident: Identity) -> Optional[dict[str, int]]:

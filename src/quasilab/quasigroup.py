@@ -100,6 +100,13 @@ def _all_latin(tables: np.ndarray) -> bool:
     return bool(hits.all())
 
 
+def _units(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right unit masks of each (n, n) table of a stack: e is a left
+    unit where row e is the identity map, a right unit where column e is."""
+    idx = np.arange(tables.shape[-1])
+    return (tables == idx).all(axis=-1), (tables == idx[:, None]).all(axis=-2)
+
+
 def _labelings(t, target=None, prefix: Sequence[int] = ()
                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The generator-sequence labelings of a Latin square.
@@ -494,14 +501,9 @@ class Quasigroup:
 
     def unit_predicates(self) -> UnitProfile:
         t = self._table
-        n = self.order
-        _check_cells(n, 3)
-        idx = np.arange(n)
-        left_hits = np.nonzero((t == idx[None, :]).all(axis=1))[0]
-        right_hits = np.nonzero((t == idx[:, None]).all(axis=0))[0]
-        left_unit = int(left_hits[0]) if left_hits.size else None
-        right_unit = int(right_hits[0]) if right_hits.size else None
-        diag = t[idx, idx]
+        _check_cells(self.order, 3)
+        left_unit, right_unit = (int(m.argmax()) if m.any() else None for m in _units(t))
+        diag = np.diagonal(t)
         lhs = t[t]            # lhs[x, y, z] = (x*y)*z
         rhs = t[:, t]         # rhs[x, y, z] = x*(y*z)
         return UnitProfile(

@@ -578,7 +578,7 @@ def find_all(opts: SearchOptions, max_order: Optional[int] = None) -> list[Quasi
     leaves: set[bytes] = set()
     while blocks:
         block = blocks.pop()        # so that up to isomorphism it is freed once passed
-        if not (_all_latin(block) and all(_holds_in_each(block, i) for i in opts.identities)):
+        if not (_all_latin(block) and all(_holds_in_each(block, i).all() for i in opts.identities)):
             for t in block:
                 _full_check(t, opts.identities)
         for t in block:

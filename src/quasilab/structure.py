@@ -128,14 +128,19 @@ def _autotopy_group(q: Quasigroup) -> np.ndarray:
     rdiv = q.rdiv_table
     col0 = tab[:, 0]
     row0 = tab[0]
-    p00 = _Labeled(tab[np.ix_(rdiv[:, 0], ldiv[0])])
+    p00 = _Labeled(_principal_isotopes(q, 0, 0))
     found = []
     for a in range(n):
         for b in range(n):
-            # gamma: P_00 -> P_ab, where P_ab is x o y = (x/a) * (b\y)
-            gammas = p00.isomorphisms(tab[np.ix_(rdiv[:, a], ldiv[b])])
+            gammas = p00.isomorphisms(_principal_isotopes(q, a, b))    # gamma: P_00 -> P_ab
             found.append(np.stack([rdiv[gammas[:, col0], a], ldiv[b, gammas[:, row0]], gammas], axis=1))
     return _sorted_images(np.concatenate(found))
+
+
+def _principal_isotopes(q: Quasigroup, a, b) -> np.ndarray:
+    """P_ab, x o y = (x/a) * (b\\y), by one gather: one (n, n) table for
+    integers a and b, a stack of them for broadcast index arrays."""
+    return q.table[q.rdiv_table.T[a][..., None], q.ldiv_table[b][..., None, :]]
 
 
 def _sorted_images(images: np.ndarray) -> np.ndarray:
@@ -412,6 +417,5 @@ def canonical_key(q: Quasigroup, max_order: int = CANONICAL_MAX_ORDER) -> bytes:
 
 def lp_isotope(q: Quasigroup, a: int, b: int) -> Quasigroup:
     """Principal loop isotope x o y = Rinv_a(x) * Linv_b(y); its unit is b*a."""
-    alpha = q.right_translation(a).inverse()
-    beta = q.left_translation(b).inverse()
-    return q.isotope(alpha, beta, Permutation.identity(q.order))
+    q._check_elem(a, b)
+    return Quasigroup(_principal_isotopes(q, a, b))

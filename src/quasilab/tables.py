@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -54,6 +55,8 @@ def _parse_lines(chunks: Iterable[str], label: Optional[str]) -> Quasigroup:
         raise TableFormatError(f"bad order {head[1]!r}") from None
     if n < 1:
         raise TableFormatError(f"order must be positive, got {n}")
+    if n >= sys.maxsize:    # above what itertools.islice can count to
+        raise TableFormatError(f"order {n} is too large")
     body = list(itertools.islice(lines, n + 1))
     if len(body) > n:
         raise TableFormatError(f"expected {n} rows, got more than {n}")

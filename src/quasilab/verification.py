@@ -21,6 +21,7 @@ import numpy as np
 from . import structure
 from .abelian import (
     ENUMERATION_MAX_ORDER,
+    _abelian_in_each,
     enumerate_abelian_groups,
     recover_group,
     subtraction_quasigroup,
@@ -108,7 +109,9 @@ def run_verification(
     constructed subtraction table large enough to have both before the T6
     checks, which must make the suite fail (demonstrating it is not
     vacuous).  Raises :class:`OutOfRange` unless the rows are distinct and
-    below ``max_construction_order``, since any other pair changes no table.
+    below ``max_construction_order``, since any other pair changes no table,
+    and unless ``max_construction_order`` is at least 3, since below it the
+    one table swapped, x - y over Z2, stays Neumann.
     Raises :class:`OrderTooLarge` if ``max_construction_order`` is above the
     abelian-group enumeration bound, before any claim runs.
     """
@@ -120,6 +123,9 @@ def run_verification(
     ):
         raise OutOfRange(f"rows to swap must be two distinct rows below the construction "
                          f"order {max_construction_order}, got {mutate_rows}")
+    if mutate_rows is not None and max_construction_order < 3:
+        raise OutOfRange(f"rows to swap need a construction order of at least 3, got "
+                         f"{max_construction_order}: a row swap keeps x - y over Z2 Neumann")
     report = VerificationReport()
     neumann = builtin("neumann")
 
@@ -141,10 +147,6 @@ def run_verification(
     # Per-instance structure shared by the claims below; a failure raises
     # again inside every claim that asks, as a fresh computation would.
     group_of = functools.cache(recover_group)
-
-    @functools.cache
-    def exponent_2(q: Quasigroup) -> bool:
-        return bool((group_of(q).neg == np.arange(q.order)).all())
 
     def claim(claim_id: str, anchor: str, orders: tuple[int, ...],
               fn: Callable[[], str], vacuous: bool = False) -> None:
@@ -180,11 +182,9 @@ def run_verification(
     def t5() -> str:
         total = 0
         for n in search_orders:
-            for q in models("eq5", n):
-                u = q.unit_predicates()
-                assert u.is_commutative and u.is_associative and u.is_loop, \
-                    f"order-{n} eq5 model is not an abelian group"
-                total += 1
+            tables = np.array([q.table for q in models("eq5", n)]).reshape(-1, n, n)
+            assert _abelian_in_each(tables).all(), f"order-{n} eq5 model is not an abelian group"
+            total += len(tables)
         return f"all {total} eq5 models are abelian groups (commutative, associative, two-sided unit)"
 
     claim("T5", "every finite model of (x*y)*z = y*(z*x) is an abelian group", search_orders, t5,
@@ -236,7 +236,7 @@ def run_verification(
             u = q.unit_predicates()
             assert u.is_unipotent, f"{q.label} is not unipotent"
             assert u.right_unit is not None, f"{q.label} has no right unit"
-            assert (u.left_unit is not None) == exponent_2(q), \
+            assert (u.left_unit is not None) == (len(two_torsion(group_of(q))) == q.order), \
                 f"{q.label}: left unit iff exponent 2 violated"
         return "all instances unipotent with right unit; left unit exactly for exponent 2"
 
@@ -246,12 +246,10 @@ def run_verification(
     def c3_2() -> str:
         checked = 0
         for q in instances:
-            for a in range(q.order):
-                for b in range(q.order):
-                    u = structure.lp_isotope(q, a, b).unit_predicates()
-                    assert u.is_loop and u.is_commutative and u.is_associative, \
-                        f"{q.label}: principal isotope at (a={a}, b={b}) is not a commutative group"
-                    checked += 1
+            a, b = np.divmod(np.arange(q.order ** 2), q.order)    # (a, b) in C order
+            ok = _abelian_in_each(structure._principal_isotopes(q, a, b))
+            assert ok.all(), f"{q.label}: principal isotope at (a={a[~ok][0]}, b={b[~ok][0]}) is not a commutative group"
+            checked += len(ok)
         return f"all {checked} principal loop isotopes are commutative groups"
 
     claim("C3_2", "every loop isotope of a Neumann quasigroup is a commutative group",
@@ -369,7 +367,8 @@ def run_verification(
         for q in instances:
             gp = structure.is_g(q, max_order=max_autotopy_order)
             assert gp.right_g, f"{q.label}: expected right G (companions on the right)"
-            assert gp.left_g == exponent_2(q), f"{q.label}: left G should hold iff exponent 2"
+            assert gp.left_g == (len(two_torsion(group_of(q))) == q.order), \
+                f"{q.label}: left G should hold iff exponent 2"
         return ("right G in the convention used here (translate after theta on the right); "
                 "left G only for exponent-2 instances -- under the swapped naming convention "
                 "this reads: left G but not right G")

@@ -30,6 +30,8 @@ from quasilab import (
 )
 from conftest import addition_table
 from oracles import abelian_automorphism_count, euler_phi, is_abelian_group_table
+from oracles import all_latin_squares
+from quasilab import abelian
 
 
 # -- constructions ---------------------------------------------------------------
@@ -356,3 +358,10 @@ def test_recover_group_checks_only_the_group_axioms(monkeypatch):
     assert np.array_equal(g.table[:, g.neg], sub.table)
     with pytest.raises(RepresentationMismatch):
         recover_group(loop)
+
+
+def test_abelian_in_each_is_the_oracle_on_every_square_of_order_4():
+    squares = np.array(all_latin_squares(4), dtype=np.int64)
+    mask = abelian._abelian_in_each(squares)
+    assert mask.tolist() == [is_abelian_group_table(t.tolist()) for t in squares]
+    assert 0 < mask.sum() < len(mask)

@@ -413,6 +413,8 @@ def test_threads_flag_is_unknown(capsys):
     ["verify-paper", "--debug-mutate-rows", "a,b"],
     ["verify-paper", "--debug-mutate-rows=-1,2"],
     ["verify-paper", "--debug-mutate-rows", "0,1,2"],
+    ["verify-paper", "--max-autotopy-order", "-1"],
+    ["verify-paper", "--max-construction-order", "-5"],
 ])
 def test_malformed_numeric_option_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -461,3 +463,21 @@ def test_construct_with_an_overlong_factor_exits_2(capsys):
     # a factor int() can read still reaches the evaluation budget
     assert main(["construct", "--group", "Z" + "9" * 50]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_verify_paper_mutation_hook_rejects_construction_orders_below_3(capsys):
+    code = main(["verify-paper", "--max-construction-order", "2", "--debug-mutate-rows", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "at least 3" in captured.err
+
+
+@pytest.mark.parametrize("command", [["check", "--identity", "neumann"], ["analyze"]])
+def test_a_table_of_order_above_sys_maxsize_is_a_format_error(command, tmp_path, capsys):
+    path = tmp_path / "huge.tbl"
+    path.write_text("order 99999999999999999999\n0\n")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -2,6 +2,8 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from quasilab import (
 )
 from quasilab import abelian, identities, quasigroup, search, structure
 from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity, _first_violation
+from quasilab.identities import _Flat, _holds_in_each
 from conftest import addition_table
 from oracles import (
     all_latin_squares,
@@ -412,3 +415,44 @@ def test_commutative_does_not_imply_associative_at_3():
 def test_schweizer_implies_neumann_at_4():
     assert implies_on_order(4, builtin("schweizer"), builtin("neumann")).holds
     assert implies_on_order(4, builtin("neumann"), builtin("schweizer")).holds
+
+
+# -- _holds_in_each ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def order4_squares() -> np.ndarray:
+    return np.array(all_latin_squares(4), dtype=np.int64)
+
+
+@pytest.mark.parametrize("block_cells", [identities.BLOCK_CELLS, 100])
+@pytest.mark.parametrize("text", [_CATALOG[name] for name in ("neumann", "medial", "left_bol", "moufang",
+                                                               "unipotent", "commutative")]
+                         + ["x = x", "x\\y = y/x"])
+def test_holds_in_each_is_holds_on_each_table_chunk_by_chunk(monkeypatch, order4_squares, block_cells, text):
+    # the 576 squares of order 4 span 3 chunks of a 4-variable law at the
+    # default block size, and one table per chunk at 100 cells
+    ident = parse_identity(text)
+    monkeypatch.setattr(identities, "BLOCK_CELLS", block_cells)
+    cells = []
+    run = identities._run
+
+    def recording(code, tables, grids):
+        flat = next(iter(tables.values()), None)
+        if isinstance(flat, _Flat):
+            cells.append(flat.base.shape[0] * 4 ** len(ident.vars))
+        return run(code, tables, grids)
+
+    monkeypatch.setattr(identities, "_run", recording)
+    mask = _holds_in_each(order4_squares, ident)
+    assert mask.dtype == bool
+    assert mask.tolist() == [holds(Quasigroup(t), ident) for t in order4_squares]
+    per_chunk = max(1, block_cells // 4 ** len(ident.vars))
+    assert len(cells) == -(-len(order4_squares) // per_chunk)
+    assert max(cells) <= max(block_cells, 4 ** len(ident.vars))
+
+
+def test_holds_in_each_on_a_mixed_stack_and_on_none(order4_squares):
+    mask = _holds_in_each(order4_squares, builtin("neumann"))
+    assert 0 < mask.sum() < len(mask)
+    assert _holds_in_each(order4_squares[:0], builtin("neumann")).shape == (0,)

@@ -43,6 +43,8 @@ from quasilab import (
 )
 from quasilab import quasigroup, structure
 from quasilab.structure import GAProfile, GProfile
+from quasilab import OutOfRange, builtin, holds
+from quasilab.verification import NEUMANN_INSTANCES
 from quasilab.cli import _analyze_report
 from oracles import (
     abelian_automorphism_count,
@@ -814,3 +816,46 @@ def test_lp_isotopes_of_neumann_are_commutative_groups(z5_sub):
             u = loop.unit_predicates()
             assert u.is_loop and u.is_commutative and u.is_associative
             assert u.left_unit == z5_sub.mul(b, a)
+
+
+# -- principal isotopes -----------------------------------------------------------
+
+
+def _principal_isotope_sources() -> list[Quasigroup]:
+    """The five Neumann instances, then one seeded Latin square of each order
+    1 to 6, a random isotope of one of the first 64 squares of that order,
+    redrawn from order 3 on until it is not Neumann."""
+    out = [subtraction_quasigroup(parse_group_spec(spec)) for spec in NEUMANN_INSTANCES]
+    rng = np.random.default_rng(25)
+    for n in range(1, 7):
+        squares = find_all(SearchOptions(order=n, limit=64))
+        while True:
+            t = squares[rng.integers(len(squares))].table
+            rows, cols, symbols = (rng.permutation(n) for _ in range(3))
+            q = Quasigroup(symbols[t[np.ix_(rows, cols)]])
+            if n < 3 or not holds(q, builtin("neumann")):
+                break
+        out.append(q)
+    return out
+
+
+def test_principal_isotopes_are_the_isotopes_by_inverse_translations():
+    for q in _principal_isotope_sources():
+        n = q.order
+        e = Permutation.identity(n)
+        # the construction lp_isotope used: Rinv_a, Linv_b and the identity
+        expected = np.array([q.isotope(q.right_translation(a).inverse(), q.left_translation(b).inverse(),
+                                       e).table for a in range(n) for b in range(n)])
+        a, b = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(structure._principal_isotopes(q, a, b), expected)
+        grid = structure._principal_isotopes(q, np.arange(n)[:, None], np.arange(n))
+        assert np.array_equal(grid, expected.reshape(n, n, n, n))
+        for (x, y), t in zip(itertools.product(range(n), repeat=2), expected):
+            assert np.array_equal(structure._principal_isotopes(q, x, y), t)
+            assert np.array_equal(lp_isotope(q, x, y).table, t)
+
+
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (5, 0), (0, 5), (True, 0), (0, 1.0)])
+def test_lp_isotope_refuses_an_element_outside_the_carrier(z5_sub, a, b):
+    with pytest.raises(OutOfRange):
+        lp_isotope(z5_sub, a, b)

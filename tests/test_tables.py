@@ -118,3 +118,13 @@ def test_the_row_count_is_checked_before_the_rows():
         parse_table_text("order 2\n0 x\n")
     with pytest.raises(TableFormatError, match="^expected 2 rows, got more than 2$"):
         parse_table_text("order 2\n0 x\n1 0\n0 1\n")
+
+
+def test_an_order_above_sys_maxsize_is_a_format_error(tmp_path):
+    text = "order 99999999999999999999\n0\n"
+    with pytest.raises(TableFormatError, match="^order 99999999999999999999 is too large$"):
+        parse_table_text(text)
+    path = tmp_path / "huge.tbl"
+    path.write_text(text)
+    with pytest.raises(TableFormatError, match="^order 99999999999999999999 is too large$"):
+        read_table(path)

@@ -6,6 +6,11 @@ from quasilab import OrderTooLarge, Permutation, Quasigroup, run_verification, s
 from quasilab.abelian import ENUMERATION_MAX_ORDER
 from quasilab.cli import _analyze_report
 from quasilab.verification import NEUMANN_INSTANCES, ClaimRecord
+import sys
+
+import numpy as np
+
+from quasilab import OutOfRange, builtin, cyclic, subtraction_quasigroup
 
 
 EXPECTED_CLAIMS = {
@@ -191,3 +196,78 @@ def test_construction_order_above_enumeration_bound_raises():
     with pytest.raises(OrderTooLarge):
         run_verification(max_order=1, max_autotopy_order=1,
                          max_construction_order=ENUMERATION_MAX_ORDER + 1)
+
+
+def test_mutation_hook_refuses_construction_orders_below_3():
+    # the one table it would swap, x - y over Z2, stays Neumann under a row swap
+    for order in (2, 1):
+        with pytest.raises(OutOfRange):
+            run_verification(max_order=1, max_autotopy_order=1, max_construction_order=order, mutate_rows=(0, 1))
+    with pytest.raises(OutOfRange, match="at least 3"):
+        run_verification(max_order=1, max_autotopy_order=1, max_construction_order=2, mutate_rows=(0, 1))
+    report = run_verification(max_order=1, max_autotopy_order=1, max_construction_order=3, mutate_rows=(0, 1))
+    assert {r.claim_id: r.status for r in report.records}["T6"] == "fail"
+
+
+def _record(report, claim_id: str) -> ClaimRecord:
+    return next(r for r in report.records if r.claim_id == claim_id)
+
+
+def test_default_run_checks_c3_2_and_t5_without_lp_isotope_or_unit_predicates(monkeypatch):
+    isotopes = _count_calls(monkeypatch, "lp_isotope")
+    callers = []
+    unit_predicates = Quasigroup.unit_predicates
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return unit_predicates(self)
+
+    monkeypatch.setattr(Quasigroup, "unit_predicates", recording)
+    assert run_verification().overall
+    assert isotopes == []
+    assert callers and not {"c3_2", "t5"} & set(callers)
+
+
+def test_c3_2_names_the_first_principal_isotope_in_c_order_that_is_not_a_group(monkeypatch):
+    principal_isotopes = structure._principal_isotopes
+
+    def with_two_broken(q, a, b):
+        stack = principal_isotopes(q, a, b)
+        if np.ndim(a) == 1 and q.order == 4:
+            stack = stack.copy()
+            for i in (3 * 4 + 0, 2 * 4 + 3):        # (a=3, b=0), then (a=2, b=3)
+                stack[i, [0, 1]] = stack[i, [1, 0]]      # no two-sided unit is left
+        return stack
+
+    monkeypatch.setattr(structure, "_principal_isotopes", with_two_broken)
+    report = run_verification(max_order=1, max_autotopy_order=4, max_construction_order=1)
+    c3_2 = _record(report, "C3_2")
+    assert c3_2.status == "fail"
+    assert c3_2.detail == "Z4 subtraction: principal isotope at (a=2, b=3) is not a commutative group"
+
+
+def _with_eq5_models(monkeypatch, order: int, extra: list) -> None:
+    """Patch the suite's search so that the eq5 models of ``order`` are ``extra``."""
+    find_all = verification.find_all
+
+    def patched(opts, max_order=None):
+        if opts.order == order and opts.identities == (builtin("eq5"),):
+            return list(extra)
+        return find_all(opts, max_order=max_order)
+
+    monkeypatch.setattr(verification, "find_all", patched)
+
+
+def test_t5_names_the_order_of_an_eq5_model_that_is_not_an_abelian_group(monkeypatch):
+    _with_eq5_models(monkeypatch, 3, [Quasigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+                                      subtraction_quasigroup(cyclic(3))])
+    t5 = _record(run_verification(max_order=4, max_autotopy_order=1, max_construction_order=1), "T5")
+    assert t5.status == "fail"
+    assert t5.detail == "order-3 eq5 model is not an abelian group"
+
+
+def test_t5_passes_an_order_with_no_eq5_model(monkeypatch):
+    _with_eq5_models(monkeypatch, 2, [])
+    t5 = _record(run_verification(max_order=3, max_autotopy_order=1, max_construction_order=1), "T5")
+    assert t5.status == "pass"
+    assert t5.detail.startswith("all 4 eq5 models are abelian groups")     # 1 at order 1, 3 at order 3
