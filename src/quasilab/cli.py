@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="quasilab",
         description="Finite quasigroup laboratory: identity checking, model search, structure analysis.",
     )
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=_int_at_least(0), default=None,
                    help="override the search/analysis order bound (env QUASILAB_MAX_ORDER: search default only)")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("-v", "--verbose", action="store_true",

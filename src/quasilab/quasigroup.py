@@ -84,6 +84,14 @@ def _table_key(table: np.ndarray) -> bytes:
     return table.astype(dtype).tobytes()
 
 
+def _lex_sorted(stack: np.ndarray) -> np.ndarray:
+    """The (m, ...) stack with its rows in lexicographic order of their
+    row-major entries, read-only; an empty stack gives an empty one."""
+    ordered = stack[np.lexsort(stack.reshape(len(stack), int(np.prod(stack.shape[1:]))).T[::-1])]
+    ordered.setflags(write=False)
+    return ordered
+
+
 def _all_latin(tables: np.ndarray) -> bool:
     """True iff each (n, n) table of an (m, n, n) integer stack is a Latin
     square over 0..n-1: entries in range, and each row and each column holds
@@ -246,7 +254,7 @@ class _Labeled:
         for level in reversed(self.transversals):
             # (u . w)(x) = u(w(x)) for every u on this level and w below it
             images = np.asarray(level, dtype=dtype)[:, images].reshape(-1, n)
-        return images[np.lexsort(images.T[::-1])]
+        return _lex_sorted(images)
 
     def isomorphisms(self, t2) -> np.ndarray:
         """Every isomorphism onto t2 as rows of images: the least, gamma0,
@@ -310,6 +318,16 @@ def _as_selector(sel: SelectorLike) -> ParastropheSelector:
     if isinstance(sel, str):
         return ParastropheSelector.from_name(sel)
     return ParastropheSelector(tuple(sel))
+
+
+def _parastrophes(tables: np.ndarray, sel: SelectorLike) -> np.ndarray:
+    """The parastrophes of each (n, n) table of an (m, n, n) Latin stack, as
+    an int64 stack: the slots of x1*x2 = x3 permuted by one scatter."""
+    s = _as_selector(sel).sigma
+    triple = (*np.indices(tables.shape[1:]), tables)
+    new = np.empty(tables.shape, dtype=np.int64)
+    new[np.arange(len(tables))[:, None, None], triple[s[0] - 1], triple[s[1] - 1]] = triple[s[2] - 1]
+    return new
 
 
 @dataclass(frozen=True)
@@ -481,14 +499,7 @@ class Quasigroup:
 
     def parastrophe(self, sel: SelectorLike) -> "Quasigroup":
         """Conjugate quasigroup obtained by permuting the slots of x1*x2 = x3."""
-        sel = _as_selector(sel)
-        n = self.order
-        x1, x2 = np.indices((n, n))
-        triple = (x1, x2, self._table)
-        s = sel.sigma
-        new = np.empty((n, n), dtype=np.int64)
-        new[triple[s[0] - 1], triple[s[1] - 1]] = triple[s[2] - 1]
-        return Quasigroup(new)
+        return Quasigroup(_parastrophes(self._table[None], sel)[0])
 
     def isotope(self, alpha: Permutation, beta: Permutation, gamma: Permutation) -> "Quasigroup":
         """Quasigroup o with gamma(x o y) = alpha(x) * beta(y)."""

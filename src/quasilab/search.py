@@ -137,7 +137,7 @@ class SearchOptions:
     def __post_init__(self):
         object.__setattr__(self, "identities", tuple(self.identities))
         values = (self.order, self.limit, self.progress_interval)
-        if any(v is not None and not isinstance(v, (int, np.integer)) for v in values):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer, type(None))) for v in values):
             raise ValueError(f"order, limit and progress_interval must be integers, got {values}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
@@ -642,7 +642,7 @@ def implies_on_order(
     The witness, when present, is the lexicographically first counter-model.
     """
     models = find_all(SearchOptions(order=n, identities=(hypothesis,)), max_order=max_order)
-    for q in models:
-        if not holds(q, conclusion):
-            return ImplicationOutcome(holds=False, witness=q)
-    return ImplicationOutcome(holds=True, witness=None)
+    tables = np.array([q.table for q in models], dtype=np.int64).reshape(-1, n, n)
+    fails = np.flatnonzero(~_holds_in_each(tables, conclusion))
+    witness = models[fails[0]] if fails.size else None
+    return ImplicationOutcome(holds=witness is None, witness=witness)

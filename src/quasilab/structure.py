@@ -34,7 +34,7 @@ from .errors import EmptyList, NotDecomposable, OrderMismatch
 from .identities import _blocks, _first_violation, builtin, holds
 from .permutations import Permutation
 from .quasigroup import (AUTOMORPHISM_MAX_ORDER, CANONICAL_MAX_ORDER, Quasigroup, _check_degree,
-                         _check_order, _Labeled, _labelings, _table_key)
+                         _check_order, _Labeled, _labelings, _lex_sorted, _table_key)
 
 __all__ = [
     "Autotopy",
@@ -134,20 +134,13 @@ def _autotopy_group(q: Quasigroup) -> np.ndarray:
         for b in range(n):
             gammas = p00.isomorphisms(_principal_isotopes(q, a, b))    # gamma: P_00 -> P_ab
             found.append(np.stack([rdiv[gammas[:, col0], a], ldiv[b, gammas[:, row0]], gammas], axis=1))
-    return _sorted_images(np.concatenate(found))
+    return _lex_sorted(np.concatenate(found))
 
 
 def _principal_isotopes(q: Quasigroup, a, b) -> np.ndarray:
     """P_ab, x o y = (x/a) * (b\\y), by one gather: one (n, n) table for
     integers a and b, a stack of them for broadcast index arrays."""
     return q.table[q.rdiv_table.T[a][..., None], q.ldiv_table[b][..., None, :]]
-
-
-def _sorted_images(images: np.ndarray) -> np.ndarray:
-    """(m, 3, n) triples of images in ``Autotopy.sort_key`` order, read-only."""
-    ordered = images[np.lexsort(images.reshape(len(images), -1).T[::-1])]
-    ordered.setflags(write=False)
-    return ordered
 
 
 def _autotopy_list(images: np.ndarray) -> list[Autotopy]:
@@ -214,7 +207,7 @@ def _subtraction_images(g: AbelianGroup) -> np.ndarray:
     exactly when the factorisation is onto and one-to-one."""
     lt = g.table[:, g.labeled.images]        # lt[c, k] = L+_c . theta_k
     comps = np.broadcast_arrays(lt[:, None], lt[g.neg][None], lt[g.table])
-    return _sorted_images(np.stack(comps, axis=3).reshape(-1, 3, g.order))
+    return _lex_sorted(np.stack(comps, axis=3).reshape(-1, 3, g.order))
 
 
 @dataclass(frozen=True)

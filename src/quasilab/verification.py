@@ -29,7 +29,7 @@ from .abelian import (
 )
 from .errors import OrderTooLarge, OutOfRange, QuasilabError
 from .identities import _first_violation, builtin, holds
-from .quasigroup import Quasigroup
+from .quasigroup import Quasigroup, _lex_sorted, _parastrophes
 from .search import SearchOptions, find_all
 from .tables import parse_group_spec
 
@@ -129,12 +129,15 @@ def run_verification(
     report = VerificationReport()
     neumann = builtin("neumann")
 
-    model_cache: dict[tuple[str, int], list[Quasigroup]] = {}
+    model_cache: dict[tuple[str, int], tuple[list[Quasigroup], np.ndarray]] = {}
 
-    def models(name: str, n: int) -> list[Quasigroup]:
+    def models(name: str, n: int) -> tuple[list[Quasigroup], np.ndarray]:
+        """The order-n models of a catalog identity, and their sorted int64 (m, n, n) stack."""
         key = (name, n)
         if key not in model_cache:
-            model_cache[key] = find_all(SearchOptions(order=n, identities=(builtin(name),)), max_order=max_order)
+            found = find_all(SearchOptions(order=n, identities=(builtin(name),)), max_order=max_order)
+            tables = np.array([q.table for q in found], dtype=np.int64).reshape(-1, n, n)
+            model_cache[key] = found, _lex_sorted(tables)
         return model_cache[key]
 
     instances: list[Quasigroup] = []
@@ -167,12 +170,12 @@ def run_verification(
     def t1() -> str:
         counts = []
         for n in search_orders:
-            eq5_keys = {q.parastrophe("(13)").key() for q in models("eq5", n)}
-            neu_keys = {q.key() for q in models("neumann", n)}
-            assert eq5_keys == neu_keys, f"(13)-parastrophe image differs from Neumann models at order {n}"
-            back = {q.parastrophe("(13)").key() for q in models("neumann", n)}
-            assert back == {q.key() for q in models("eq5", n)}, f"reverse direction differs at order {n}"
-            counts.append(len(neu_keys))
+            eq5, neu = models("eq5", n)[1], models("neumann", n)[1]
+            assert np.array_equal(_lex_sorted(_parastrophes(eq5, "(13)")), neu), \
+                f"(13)-parastrophe image differs from Neumann models at order {n}"
+            assert np.array_equal(_lex_sorted(_parastrophes(neu, "(13)")), eq5), \
+                f"reverse direction differs at order {n}"
+            counts.append(len(neu))
         return f"(13)-parastrophe is a bijection between eq5 and Neumann models; counts {counts}"
 
     claim("T1", "models of (x*y)*z = y*(z*x) map onto Neumann models under the (13)-parastrophe",
@@ -182,7 +185,7 @@ def run_verification(
     def t5() -> str:
         total = 0
         for n in search_orders:
-            tables = np.array([q.table for q in models("eq5", n)]).reshape(-1, n, n)
+            tables = models("eq5", n)[1]
             assert _abelian_in_each(tables).all(), f"order-{n} eq5 model is not an abelian group"
             total += len(tables)
         return f"all {total} eq5 models are abelian groups (commutative, associative, two-sided unit)"
@@ -194,7 +197,7 @@ def run_verification(
     def t6() -> str:
         recovered = 0
         for n in search_orders:
-            for q in models("neumann", n):
+            for q in models("neumann", n)[0]:
                 recover_group(q)
                 recovered += 1
         built = 0
@@ -292,10 +295,9 @@ def run_verification(
     def t10() -> str:
         counts = []
         for n in search_orders:
-            s = {q.key() for q in models("schweizer", n)}
-            m = {q.key() for q in models("neumann", n)}
-            assert s == m, f"model sets differ at order {n}"
-            counts.append(len(m))
+            neu = models("neumann", n)[1]
+            assert np.array_equal(models("schweizer", n)[1], neu), f"model sets differ at order {n}"
+            counts.append(len(neu))
         return f"Schweizer and Neumann model sets coincide; counts {counts}"
 
     claim("T10", "the Schweizer identity yz*yx = xz and the Neumann identity have the same models",

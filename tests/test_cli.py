@@ -415,6 +415,7 @@ def test_threads_flag_is_unknown(capsys):
     ["verify-paper", "--debug-mutate-rows", "0,1,2"],
     ["verify-paper", "--max-autotopy-order", "-1"],
     ["verify-paper", "--max-construction-order", "-5"],
+    ["--max-order", "-5", "verify-paper"],
 ])
 def test_malformed_numeric_option_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

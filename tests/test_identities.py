@@ -417,6 +417,17 @@ def test_schweizer_implies_neumann_at_4():
     assert implies_on_order(4, builtin("neumann"), builtin("schweizer")).holds
 
 
+@pytest.mark.parametrize("hypothesis, conclusion", [
+    ("commutative", "associative"), ("schweizer", "neumann"), ("neumann", "schweizer")])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_implies_on_order_gives_the_witness_of_a_per_model_loop(hypothesis, conclusion, n):
+    models = search.find_all(search.SearchOptions(n, (builtin(hypothesis),)))
+    first = next((q for q in models if not holds(q, builtin(conclusion))), None)
+    out = implies_on_order(n, builtin(hypothesis), builtin(conclusion))
+    assert out.holds == (first is None)
+    assert out.witness == first
+
+
 # -- _holds_in_each ------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from quasilab import (
     from_table,
     subtraction_quasigroup,
 )
+from quasilab.quasigroup import _lex_sorted, _parastrophes, _table_key
 from conftest import addition_table
 from oracles import parastrophe13_table
 
@@ -207,6 +208,45 @@ def test_parastrophe_composition_all_pairs(z4_sub):
         s = ParastropheSelector.from_name(s_name)
         t = ParastropheSelector.from_name(t_name)
         assert z4_sub.parastrophe(s).parastrophe(t) == z4_sub.parastrophe(t * s)
+
+
+PARASTROPHE_NAMES = ["e", "(12)", "(13)", "(23)", "(123)", "(132)"]
+
+
+def _seeded_latin_stack(n: int, m: int, seed: int) -> np.ndarray:
+    """m seeded isotopes of Z_n, with their (13)-parastrophes: a Latin stack."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(m):
+        a, b, c = (rng.permutation(n) for _ in range(3))
+        t = c[addition_table(n)[np.ix_(a, b)]]
+        stack.append(parastrophe13_table(t.tolist()) if rng.integers(2) else t)
+    return np.array(stack, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_parastrophes_equal_the_table_method(n):
+    tables = _seeded_latin_stack(n, 12, seed=n)
+    for name in PARASTROPHE_NAMES:
+        stacked = _parastrophes(tables, name)
+        assert stacked.dtype == np.int64 and stacked.shape == tables.shape
+        for t, p in zip(tables, stacked):
+            assert np.array_equal(p, Quasigroup(t).parastrophe(name).table), name
+
+
+def test_stacked_parastrophes_and_sort_of_an_empty_stack():
+    empty = np.empty((0, 3, 3), dtype=np.int64)
+    for name in PARASTROPHE_NAMES:
+        assert _parastrophes(empty, name).shape == (0, 3, 3)
+    ordered = _lex_sorted(empty)
+    assert ordered.shape == (0, 3, 3) and not ordered.flags.writeable
+
+
+def test_lex_sorted_orders_tables_by_key():
+    tables = _seeded_latin_stack(4, 30, seed=7)
+    ordered = _lex_sorted(tables)
+    assert not ordered.flags.writeable
+    assert [_table_key(t) for t in ordered] == sorted(_table_key(t) for t in tables)
 
 
 def test_bad_selector():

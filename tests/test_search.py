@@ -384,6 +384,9 @@ def test_invalid_options():
         with pytest.raises(ValueError, match="must be integers"):
             SearchOptions(**bad)
     assert SearchOptions(np.int64(3), limit=np.int64(1)).limit == 1
+    for bad in ({"order": True}, {"order": 3, "limit": True}, {"order": 3, "progress_interval": True}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SearchOptions(**bad)
 
 
 @pytest.mark.parametrize("interval", [0, -5])

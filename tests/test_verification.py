@@ -271,3 +271,48 @@ def test_t5_passes_an_order_with_no_eq5_model(monkeypatch):
     t5 = _record(run_verification(max_order=3, max_autotopy_order=1, max_construction_order=1), "T5")
     assert t5.status == "pass"
     assert t5.detail.startswith("all 4 eq5 models are abelian groups")     # 1 at order 1, 3 at order 3
+
+
+def test_default_run_compares_model_stacks_without_parastrophe_or_key(monkeypatch):
+    calls = []      # (method, calling function)
+
+    def recording(name):
+        method = getattr(Quasigroup, name)
+
+        def wrapped(self, *args, **kwargs):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    for name in ("__init__", "parastrophe", "key"):
+        monkeypatch.setattr(Quasigroup, name, recording(name))
+    assert run_verification().overall
+    assert not [c for c in calls if c[0] == "parastrophe"]
+    assert len([c for c in calls if c[0] == "__init__"]) <= 45
+    assert not {"t1", "t10", "<setcomp>"} & {caller for name, caller in calls if name == "key"}
+
+
+def _with_model_lists(monkeypatch, edit) -> None:
+    """Patch the suite's search so that each model list is ``edit(opts, list)``."""
+    find_all = verification.find_all
+
+    def patched(opts, max_order=None):
+        return edit(opts, find_all(opts, max_order=max_order))
+
+    monkeypatch.setattr(verification, "find_all", patched)
+
+
+def test_t1_and_t10_fail_when_a_neumann_model_is_missing(monkeypatch):
+    neumann = (builtin("neumann"),)
+    _with_model_lists(monkeypatch, lambda opts, found:
+                      found[:-1] if opts.order == 3 and opts.identities == neumann else found)
+    report = run_verification(max_order=3, max_autotopy_order=1, max_construction_order=1)
+    t1, t10 = _record(report, "T1"), _record(report, "T10")
+    assert (t1.status, t1.detail) == ("fail", "(13)-parastrophe image differs from Neumann models at order 3")
+    assert (t10.status, t10.detail) == ("fail", "model sets differ at order 3")
+
+
+def test_t1_t5_and_t10_pass_on_reversed_model_lists(monkeypatch):
+    _with_model_lists(monkeypatch, lambda opts, found: found[::-1])
+    report = run_verification(max_order=4, max_autotopy_order=1, max_construction_order=1)
+    assert [_record(report, c).status for c in ("T1", "T5", "T10")] == ["pass"] * 3
