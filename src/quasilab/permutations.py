@@ -48,7 +48,7 @@ class Permutation:
         """
         arr = np.asarray(images)
         # an empty array has no row to sort; structure.pseudoautomorphisms
-        # passes one for most companions
+        # passes one for a side without a pseudoautomorphism
         if (arr.ndim != 2 or arr.dtype.kind not in "iu"
                 or (arr.size and not (np.sort(arr, axis=1) == np.arange(arr.shape[1])).all())):
             raise ValueError(f"not a 2-D integer array of bijections, shape {arr.shape}")

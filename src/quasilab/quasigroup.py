@@ -256,15 +256,19 @@ class _Labeled:
             images = np.asarray(level, dtype=dtype)[:, images].reshape(-1, n)
         return _lex_sorted(images)
 
-    def isomorphisms(self, t2) -> np.ndarray:
-        """Every isomorphism onto t2 as rows of images: the least, gamma0,
-        first, then gamma0 . alpha for every other automorphism alpha of t,
-        in lexicographic order of alpha.  A target without an isomorphism
-        costs one search and builds no part of Aut."""
-        gamma0 = self.match(t2)
-        if gamma0 is None:
-            return np.empty((0, len(self.source)), dtype=np.intp)
-        return np.asarray(gamma0, dtype=self.images.dtype)[self.images]
+    def isomorphisms(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every isomorphism onto each table of a (k, n, n) stack, as the
+        target index of each and its row of images, targets in stack order:
+        per target the least, gamma0, first, then gamma0 . alpha for every
+        other automorphism alpha of t, in lexicographic order of alpha.  A
+        target without one costs one search and builds no part of Aut."""
+        n = len(self.source)
+        found = [(k, gamma0) for k, t2 in enumerate(targets) if (gamma0 := self.match(t2)) is not None]
+        if not found:
+            return np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp)
+        which, gamma0s = zip(*found)
+        return (np.repeat(np.asarray(which, dtype=np.intp), len(self.images)),
+                np.asarray(gamma0s, dtype=self.images.dtype)[:, self.images].reshape(-1, n))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ the ``quasigroup._Labeled`` record its source Quasigroup keeps
 (``Quasigroup.labeled``), so a table is labeled once however many queries
 ask: ``isomorphic`` takes its first match, ``automorphism_count``
 multiplies the transversal sizes of its stabilizer chain, and
-``automorphisms`` lists its image array.  An autotopy (alpha, beta,
+``automorphisms`` lists its image array.  ``_Labeled.isomorphisms``
+matches a record against a stack of targets.  An autotopy (alpha, beta,
 gamma) is an isomorphism gamma from the principal isotope P_00 onto P_ab,
-where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0): one
-record of P_00 is matched against the n^2 tables P_ab, and alpha and beta
-are read off all gamma by two gathers.  The group is cached as one image
-array sorted once; only the public lists build ``Autotopy`` objects.
-One-sided pseudoautomorphisms are, for each companion c, the isomorphisms
-from q's record onto one derived Latin square, n targets per side.
+where P_ab is x o y = (x/a) * (b\\y), a = beta(0) and b = alpha(0): P_00
+is matched against the stack of all n^2 P_ab, and alpha and beta are read
+off all gamma by two gathers.  The group is cached as one image array
+sorted once; only the public lists build ``Autotopy`` objects.
+One-sided pseudoautomorphisms are the isomorphisms from q onto a stack of
+n derived squares per side, one per companion; only
+``pseudoautomorphisms`` turns them into witnesses.
 Nuclei are read off the failures of the catalog's associative law, and
 the Bol, Moufang and core-distributive checks are catalog laws too.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,18 +125,11 @@ def _autotopy_images(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> np.n
 def _autotopy_group(q: Quasigroup) -> np.ndarray:
     """The autotopy group as a read-only (m, 3, n) image array in ``sort_key`` order."""
     n = q.order
-    tab = q.table
-    ldiv = q.ldiv_table
-    rdiv = q.rdiv_table
-    col0 = tab[:, 0]
-    row0 = tab[0]
-    p00 = _Labeled(_principal_isotopes(q, 0, 0))
-    found = []
-    for a in range(n):
-        for b in range(n):
-            gammas = p00.isomorphisms(_principal_isotopes(q, a, b))    # gamma: P_00 -> P_ab
-            found.append(np.stack([rdiv[gammas[:, col0], a], ldiv[b, gammas[:, row0]], gammas], axis=1))
-    return _lex_sorted(np.concatenate(found))
+    which, gammas = _Labeled(_principal_isotopes(q, 0, 0)).isomorphisms(    # gamma: P_00 -> P_ab
+        _principal_isotopes(q, *np.divmod(np.arange(n * n), n)))
+    a, b = np.divmod(which[:, None], n)
+    return _lex_sorted(np.stack([q.rdiv_table[gammas[:, q.table[:, 0]], a],
+                                 q.ldiv_table[b, gammas[:, q.table[0]]], gammas], axis=1))
 
 
 def _principal_isotopes(q: Quasigroup, a, b) -> np.ndarray:
@@ -219,7 +214,11 @@ class PseudoautomorphismWitness:
     companion: int
     side: str
 
+    def __post_init__(self):
+        _check_side(self.side)
+
     def to_autotopy(self, q: Quasigroup) -> Autotopy:
+        _check_degree(q.order, self.theta)
         if self.side == "right":
             r_c = q.right_translation(self.companion)
             return Autotopy(self.theta, r_c * self.theta, r_c * self.theta)
@@ -246,21 +245,23 @@ def pseudoautomorphisms(q: Quasigroup, side: str,
     """
     _check_side(side)
     _check_order(q.order, max_order, "autotopy")
-    found = [PseudoautomorphismWitness(theta, c, side)
-             for c, thetas in _companion_thetas(q, side) for theta in Permutation.rows(thetas)]
-    found.sort(key=lambda w: (w.theta.image, w.companion))
-    return found
+    companions, thetas = _companion_thetas(q, side)
+    rows = _lex_sorted(np.column_stack([thetas, companions]))     # by theta's images, then companion
+    return [PseudoautomorphismWitness(theta, c, side)
+            for theta, c in zip(Permutation.rows(rows[:, :-1]), rows[:, -1].tolist())]
 
 
-def _companion_thetas(q: Quasigroup, side: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Each companion c with the images of every isomorphism from q onto its derived square."""
+def _companion_thetas(q: Quasigroup, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The companion c and the images of theta for every isomorphism theta
+    from q onto c's derived square, the side's n squares built by one gather."""
     tab = q.table
-    for c in range(q.order):
-        if side == "right":
-            target = q.rdiv_table[tab[:, tab[:, c]], c]
-        else:
-            target = q.ldiv_table[c][tab[tab[c]]]
-        yield c, q.labeled.isomorphisms(target)
+    idx = np.arange(q.order)
+    c = idx[:, None, None]
+    if side == "right":
+        targets = q.rdiv_table[tab[idx[:, None], tab.T[:, None]], c]     # (x*(y*c))/c
+    else:
+        targets = q.ldiv_table[c, tab[tab]]                              # c\((c*x)*y)
+    return q.labeled.isomorphisms(targets)
 
 
 def a_pseudoautomorphisms(q: Quasigroup, side: str,
@@ -281,6 +282,7 @@ def component_transitive(ts: Sequence[Autotopy], which: int) -> bool:
         raise ValueError(f"component must be 1, 2 or 3, got {which}")
     if not ts:
         raise EmptyList("no autotopies given")
+    _check_degree(ts[0].component(which).degree, *(t.component(which) for t in ts))
     return _third_components_transitive(np.array([t.component(which).image for t in ts]))
 
 
@@ -316,10 +318,9 @@ def is_ga(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GAProfile:
 def is_g(q: Quasigroup, max_order: int = AUTOTOPY_MAX_ORDER) -> GProfile:
     """G flags: transitivity of third components R_c.theta (right) and L_c.theta (left)."""
     _check_order(q.order, max_order, "autotopy")
-    right = np.concatenate([q.table[thetas, c] for c, thetas in _companion_thetas(q, "right")])
-    left = np.concatenate([q.table[c, thetas] for c, thetas in _companion_thetas(q, "left")])
-    return GProfile(left_g=_third_components_transitive(left),
-                    right_g=_third_components_transitive(right))
+    (cr, right), (cl, left) = _companion_thetas(q, "right"), _companion_thetas(q, "left")
+    return GProfile(left_g=_third_components_transitive(q.table[cl[:, None], left]),     # L_c.theta
+                    right_g=_third_components_transitive(q.table[right, cr[:, None]]))   # R_c.theta
 
 
 _NUCLEUS_AXIS = {"left": 0, "middle": 1, "right": 2}

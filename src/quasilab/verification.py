@@ -29,7 +29,7 @@ from .abelian import (
 )
 from .errors import OrderTooLarge, OutOfRange, QuasilabError
 from .identities import _first_violation, builtin, holds
-from .quasigroup import Quasigroup, _lex_sorted, _parastrophes
+from .quasigroup import Quasigroup, _lex_sorted, _parastrophes, _units
 from .search import SearchOptions, find_all
 from .tables import parse_group_spec
 
@@ -350,12 +350,11 @@ def run_verification(
             # identity to the identity and a nontrivial theta to a nontrivial
             # one, and it maps a one-sided unit of Q to one of Q'.
             for q in reps:
-                for side, unit in (("right", "right_unit"), ("left", "left_unit")):
-                    ws = structure.pseudoautomorphisms(q, side)
-                    if any(not w.theta.is_identity() for w in ws):
-                        u = getattr(q.unit_predicates(), unit)
-                        assert u is not None, \
-                            f"order-{n} table with nontrivial {side} pseudoautomorphism lacks a {side} unit"
+                left_units, right_units = _units(q.table)
+                for side, units in (("right", right_units), ("left", left_units)):
+                    thetas = structure._companion_thetas(q, side)[1]
+                    assert units.any() or (thetas == np.arange(n)).all(), \
+                        f"order-{n} table with nontrivial {side} pseudoautomorphism lacks a {side} unit"
             classes += len(reps)
             tables += int(labeled)
         return (f"checked {classes} isomorphism classes ({tables} tables) "

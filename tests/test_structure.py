@@ -11,6 +11,7 @@ from quasilab import (
     OrderMismatch,
     OrderTooLarge,
     Permutation,
+    PseudoautomorphismWitness,
     Quasigroup,
     SearchOptions,
     a_pseudoautomorphisms,
@@ -274,6 +275,42 @@ def test_isomorphism_searches_label_the_source_once(monkeypatch):
     assert 0 < calls.count("prefix") <= 3 * 6
 
 
+def _isomorphisms_by_loop(labeled, targets):
+    """Reference for ``_Labeled.isomorphisms``: one first match per target,
+    composed with the sorted automorphism images."""
+    which, rows = [], []
+    for k, t2 in enumerate(targets):
+        gamma0 = labeled.match(t2)
+        if gamma0 is not None:
+            which += [k] * len(labeled.images)
+            rows += np.asarray(gamma0)[labeled.images].tolist()
+    return which, rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_isomorphisms_onto_a_stack_equal_one_match_per_target(n):
+    # relabelings of the source, which always match, shuffled with random
+    # isotopes of Z_n, which match only when isomorphic to the source
+    rng = np.random.default_rng(n)
+    idx = np.arange(n)
+    add = (idx[:, None] + idx) % n
+    source = add[np.ix_(rng.permutation(n), rng.permutation(n))]
+    targets = [np.asarray(relabel_table(source, rng.permutation(n))) for _ in range(4)]
+    targets += [rng.permutation(n)[add[np.ix_(rng.permutation(n), rng.permutation(n))]] for _ in range(8)]
+    stack = np.stack(targets)[rng.permutation(len(targets))]
+    labeled = quasigroup._Labeled(source)
+    which, rows = labeled.isomorphisms(stack)
+    assert (which.tolist(), rows.tolist()) == _isomorphisms_by_loop(labeled, stack)
+    assert set(which.tolist()) < set(range(len(stack))) or n < 3
+
+
+def test_isomorphisms_onto_a_stack_without_a_match_build_no_part_of_aut(z3_add):
+    labeled = quasigroup._Labeled(z3_add.table)
+    which, rows = labeled.isomorphisms(np.stack([subtraction_quasigroup(parse_group_spec("Z3")).table] * 2))
+    assert (which.shape, rows.shape) == ((0,), (0, 3))
+    assert "transversals" not in vars(labeled) and "images" not in vars(labeled)
+
+
 def test_automorphism_group_of_z2_4_visits_few_leaves(monkeypatch):
     # one source labeling, one match of the identity and at most one leaf
     # per prefix search, (floor(log2 16) + 1) * 16 of them, for 20160 maps
@@ -417,6 +454,17 @@ def test_z5_subtraction_has_no_left_pseudoautomorphisms(z5_sub):
     assert pseudoautomorphisms(z5_sub, "left") == []
 
 
+def test_pseudoautomorphism_witness_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'top'"):
+        PseudoautomorphismWitness(Permutation.identity(3), 0, "top")
+
+
+def test_pseudoautomorphism_witness_refuses_a_theta_of_another_degree(z3_add):
+    w = PseudoautomorphismWitness(Permutation.identity(4), 0, "right")
+    with pytest.raises(DegreeMismatch, match="permutation degree 4 != order 3"):
+        w.to_autotopy(z3_add)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pseudoautomorphisms_match_oracle_on_every_small_square(n):
     for rows in all_latin_squares(n):
@@ -517,6 +565,11 @@ def test_component_transitive(z5_sub):
         component_transitive([], 3)
     with pytest.raises(ValueError):
         component_transitive(rights, 4)
+
+
+def test_component_transitive_refuses_components_of_mixed_degree():
+    with pytest.raises(DegreeMismatch, match="permutation degree 3 != order 2"):
+        component_transitive([Autotopy.identity(2), Autotopy.identity(3)], 1)
 
 
 def test_ga_profile(z5_sub):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasilab import OrderTooLarge, Permutation, Quasigroup, run_verification, structure, verification
+from quasilab import OrderTooLarge, Permutation, Quasigroup, quasigroup, run_verification, structure, verification
 from quasilab.abelian import ENUMERATION_MAX_ORDER
 from quasilab.cli import _analyze_report
 from quasilab.verification import NEUMANN_INSTANCES, ClaimRecord
@@ -90,14 +90,63 @@ def test_t4_fails_when_a_class_is_missing(monkeypatch):
 def test_t4_fails_on_a_nontrivial_witness_without_a_unit(monkeypatch):
     # claim a nontrivial pseudoautomorphism on both sides of every table;
     # the first class without a right unit is x*y = y - x mod 3 (left unit 0)
-    def witness(q, side, **kw):
-        swap = Permutation([1, 0, *range(2, q.order)])
-        return [structure.PseudoautomorphismWitness(swap, 0, side)]
+    def witness(q, side):
+        return np.zeros(1, dtype=np.intp), np.array([[1, 0, *range(2, q.order)]])
 
-    monkeypatch.setattr(structure, "pseudoautomorphisms", witness)
+    monkeypatch.setattr(structure, "_companion_thetas", witness)
     t4 = _t4()
     assert (t4.status, t4.detail) == (
         "fail", "order-3 table with nontrivial right pseudoautomorphism lacks a right unit")
+
+
+def test_t7_fails_when_the_stack_search_drops_the_last_target(monkeypatch):
+    # Z3 subtraction: each of the 9 principal isotopes P_ab matches P_00 in
+    # |Aut| = 2 ways, so losing P_22 loses 2 of the 18 autotopies
+    isomorphisms = quasigroup._Labeled.isomorphisms
+
+    def drop_last(self, targets):
+        which, rows = isomorphisms(self, targets)
+        keep = which != len(targets) - 1
+        return which[keep], rows[keep]
+
+    structure._autotopy_group.cache_clear()
+    monkeypatch.setattr(quasigroup._Labeled, "isomorphisms", drop_last)
+    report = run_verification(max_order=1, max_autotopy_order=3, max_construction_order=1)
+    structure._autotopy_group.cache_clear()      # drop the short group the patch built
+    t7 = _record(report, "T7_C1")
+    assert (t7.status, t7.detail) == ("fail", "Z3 subtraction: 16 autotopies, expected 18")
+
+
+def test_cold_default_run_searches_one_stack_per_query_and_builds_no_witness(monkeypatch):
+    # 5 autotopy groups, both sides of the 41 T4 classes and of the 5 G_NOTE
+    # instances: one stack search each, read as arrays
+    structure._autotopy_group.cache_clear()
+    pseudo = _count_calls(monkeypatch, "pseudoautomorphisms")
+    calls = {"isomorphisms": 0, "rows": 0}
+    isomorphisms, rows = quasigroup._Labeled.isomorphisms, Permutation.rows.__func__
+
+    def counted_isomorphisms(self, targets):
+        calls["isomorphisms"] += 1
+        return isomorphisms(self, targets)
+
+    def counted_rows(cls, images):
+        calls["rows"] += 1
+        return rows(cls, images)
+
+    monkeypatch.setattr(quasigroup._Labeled, "isomorphisms", counted_isomorphisms)
+    monkeypatch.setattr(Permutation, "rows", classmethod(counted_rows))
+    callers = []
+    unit_predicates = Quasigroup.unit_predicates
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return unit_predicates(self)
+
+    monkeypatch.setattr(Quasigroup, "unit_predicates", recording)
+    assert run_verification().overall
+    assert pseudo == [] and calls["rows"] == 0
+    assert callers == ["c3_1"] * len(NEUMANN_INSTANCES)
+    assert calls["isomorphisms"] <= len(NEUMANN_INSTANCES) + 2 * 41 + 2 * len(NEUMANN_INSTANCES)
 
 
 def test_default_run_builds_each_instance_group_once(monkeypatch):
