@@ -123,11 +123,11 @@ def direct_product(groups: Sequence[AbelianGroup]) -> AbelianGroup:
         raise NotAbelianGroup("direct product needs at least one factor")
     if len(groups) == 1:
         return groups[0]
-    sizes = tuple(g.order for g in groups)
-    _check_cells(math.prod(sizes), 3)
-    coords = [c.ravel() for c in np.indices(sizes)]
-    sums = [g.table[coords[i][:, None], coords[i][None, :]] for i, g in enumerate(groups)]
-    table = np.ravel_multi_index(sums, sizes)
+    _check_cells(math.prod(g.order for g in groups), 3)
+    table = groups[0].table
+    for g in groups[1:]:    # one factor at a time: numpy caps an array at 64 axes
+        n, m = len(table), g.order
+        table = (table[:, None, :, None] * m + g.table[None, :, None, :]).reshape(n * m, n * m)
     factors = tuple(itertools.chain.from_iterable(g.factors or (g.order,) for g in groups))
     label = "x".join(g.label or f"?{g.order}" for g in groups)
     return AbelianGroup(table, factors=factors, label=label)

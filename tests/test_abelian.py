@@ -22,6 +22,7 @@ from quasilab import (
     enumerate_abelian_groups,
     find_all,
     holds,
+    parse_group_spec,
     nucleus,
     recover_group,
     structure,
@@ -68,6 +69,13 @@ def test_direct_product_mixed_radix():
     g = direct_product([cyclic(2), cyclic(3)])
     # element a*3+b encodes (a, b); (1,2)+(1,2) = (0,1)
     assert g.add(1 * 3 + 2, 1 * 3 + 2) == 0 * 3 + 1
+
+
+def test_direct_product_takes_more_factors_than_numpy_has_axes():
+    # numpy caps an array at 64 axes; the factors are folded in one at a time
+    g = parse_group_spec("x".join(["Z1"] * 64 + ["Z2"]))
+    assert g.table.tolist() == [[0, 1], [1, 0]]
+    assert g.factors == (1,) * 64 + (2,)
 
 
 def test_group_table_validation():

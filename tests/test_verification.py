@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,8 @@ import sys
 
 import numpy as np
 
-from quasilab import OutOfRange, builtin, cyclic, subtraction_quasigroup
+from quasilab import OutOfRange, QuasilabError, abelian, builtin, cyclic, recover_group, subtraction_quasigroup
+from oracles import all_latin_squares
 
 
 EXPECTED_CLAIMS = {
@@ -49,14 +51,6 @@ def test_default_run_and_analyze_build_no_autotopy_list(monkeypatch, z5_sub):
     assert run_verification().overall
     assert _analyze_report(z5_sub, None)["decomposition_ok"] is True
     assert calls == []
-
-
-def test_t4_searches_pseudoautomorphisms_once_per_class_and_side(monkeypatch):
-    # T4 runs on the 1 + 5 + 35 isomorphism classes of orders 2-4, not on
-    # the 590 labeled tables; G_NOTE adds both sides of every instance
-    calls = _count_calls(monkeypatch, "pseudoautomorphisms")
-    assert run_verification().overall
-    assert len(calls) <= 2 * 41 + 2 * len(NEUMANN_INSTANCES)
 
 
 def _t4() -> ClaimRecord:
@@ -185,6 +179,15 @@ def test_json_schema():
     assert payload["overall"] == report.overall
     for record in payload["claims"]:
         assert set(record) == {"claim_id", "anchor", "orders_tested", "status", "detail"}
+
+
+@pytest.mark.parametrize("order", range(3, 7))
+def test_mutation_hook_breaks_t6_for_every_pair_of_rows(order):
+    # the swap reaches the tables of orders above its larger row, order 3 at least
+    for rows in itertools.combinations(range(order), 2):
+        report = run_verification(max_order=0, max_autotopy_order=0,
+                                  max_construction_order=order, mutate_rows=rows)
+        assert _record(report, "T6").status == "fail", rows
 
 
 def test_mutation_hook_breaks_t6():
@@ -365,3 +368,43 @@ def test_t1_t5_and_t10_pass_on_reversed_model_lists(monkeypatch):
     _with_model_lists(monkeypatch, lambda opts, found: found[::-1])
     report = run_verification(max_order=4, max_autotopy_order=1, max_construction_order=1)
     assert [_record(report, c).status for c in ("T1", "T5", "T10")] == ["pass"] * 3
+
+
+def test_t6_names_the_sorted_index_of_a_neumann_model_that_is_not_x_minus_y(monkeypatch):
+    # the Z3 addition table sorts first among the order-3 models; its
+    # (13)-parastrophe x - y has no two-sided unit
+    z3_add = Quasigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    neumann = (builtin("neumann"),)
+    _with_model_lists(monkeypatch, lambda opts, found:
+                      found + [z3_add] if opts.order == 3 and opts.identities == neumann else found)
+    t6 = _record(run_verification(max_order=3, max_autotopy_order=1, max_construction_order=1), "T6")
+    assert (t6.status, t6.detail) == ("fail", "order-3 Neumann model 0 is not x - y over an abelian group")
+
+
+def test_parastrophe_group_test_is_recover_group_on_every_square_to_order_4():
+    for n in range(1, 5):
+        squares = np.array(all_latin_squares(n), dtype=np.int64).reshape(-1, n, n)
+        recovered = []
+        for t in squares:
+            try:
+                recover_group(Quasigroup(t))
+                recovered.append(True)
+            except QuasilabError:
+                recovered.append(False)
+        mask = abelian._abelian_in_each(quasigroup._parastrophes(squares, "(13)"))
+        assert mask.tolist() == recovered
+
+
+def test_default_run_recovers_only_the_instance_groups(monkeypatch):
+    # T6 reads x - y off each stack's (13)-parastrophe; only the instances'
+    # shared group_of recovers a group
+    orders = []
+    recover = verification.recover_group
+
+    def counting(q):
+        orders.append(q.order)
+        return recover(q)
+
+    monkeypatch.setattr(verification, "recover_group", counting)
+    assert run_verification().overall
+    assert orders == [3, 4, 4, 5, 6]
