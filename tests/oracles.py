@@ -12,8 +12,10 @@ import itertools
 from quasilab.identities import Identity, LDIV, MUL, Var
 
 
-def all_latin_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every order-n Latin square, built row by row from permutations."""
+def all_latin_squares(n: int, reduced: bool = False) -> list[tuple[tuple[int, ...], ...]]:
+    """Every order-n Latin square, built row by row from permutations; with
+    ``reduced``, only those whose first row and column are 0..n-1 (the loops
+    with unit 0)."""
     perms = list(itertools.permutations(range(n)))
     out: list[tuple[tuple[int, ...], ...]] = []
 
@@ -22,6 +24,8 @@ def all_latin_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
             out.append(tuple(rows))
             return
         for p in perms:
+            if reduced and (p[0] != len(rows) or not rows and p != perms[0]):
+                continue    # perms[0] is the identity
             if all(p[c] != r[c] for r in rows for c in range(n)):
                 rows.append(p)
                 extend(rows)
@@ -69,6 +73,17 @@ def first_failure_lex(table, ident: Identity):
 
 def holds_bruteforce(table, ident: Identity) -> bool:
     return first_failure_bruteforce(table, ident) is None
+
+
+def closure(table, elements) -> set[int]:
+    """The smallest set holding ``elements`` and closed under the table's
+    product, grown by all pairwise products until nothing new appears."""
+    members = set(elements)
+    while True:
+        grown = members | {table[a][b] for a in members for b in members}
+        if grown == members:
+            return members
+        members = grown
 
 
 def left_bol_first_failure(table):

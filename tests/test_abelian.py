@@ -31,7 +31,7 @@ from quasilab import (
 )
 from conftest import addition_table
 from oracles import abelian_automorphism_count, euler_phi, is_abelian_group_table
-from oracles import all_latin_squares
+from oracles import all_latin_squares, first_failure_lex
 from quasilab import abelian
 
 
@@ -313,6 +313,48 @@ def test_recover_commutative_loop_fails_associativity():
         recover_group(q)
     assert exc.value.axiom == "associativity"
     assert exc.value.witness == (2, 2, 4)
+
+
+def _steiner_loop_10() -> list[list[int]]:
+    """The Steiner loop of the affine plane over Z3: unit 0, x*x = 0, and
+    for distinct points x, y of Z3^2 (elements 1..9) the third point of
+    their line, -(x + y).  Commutative, not associative."""
+    points = list(itertools.product(range(3), repeat=2))
+    t = [[i + j if 0 in (i, j) else 0 for j in range(10)] for i in range(10)]
+    for i, p in enumerate(points, 1):
+        for j, q in enumerate(points, 1):
+            if i != j:
+                t[i][j] = 1 + points.index(((-p[0] - q[0]) % 3, (-p[1] - q[1]) % 3))
+    return t
+
+
+def test_group_axiom_errors_name_the_oracle_witness():
+    # Light's test decides; a failing table names its lexicographically
+    # first failing pair or triple, as the full scan did.  Every loop of
+    # order 4 or less is an abelian group, so the loops with unit 0 of order
+    # 5 and a commutative loop are added for the other two axioms.
+    commutative, associative = builtin("commutative"), builtin("associative")
+    squares = [sq for n in range(1, 5) for sq in all_latin_squares(n)]
+    squares += all_latin_squares(5, reduced=True) + [_steiner_loop_10()]
+    assert len(squares) == 591 + 56 + 1
+    failed = set()
+    for sq in squares:
+        n = len(sq)
+        t = [list(r) for r in sq]
+        if is_abelian_group_table(t):
+            assert AbelianGroup(t).order == n
+            continue
+        with pytest.raises(NotAbelianGroup) as exc:
+            AbelianGroup(t)
+        if not any(t[e] == list(range(n)) and [r[e] for r in t] == list(range(n)) for e in range(n)):
+            expected = ("two-sided unit exists", None)
+        elif (bad := first_failure_lex(t, commutative)) is not None:
+            expected = ("commutativity", bad)
+        else:
+            expected = ("associativity", first_failure_lex(t, associative))
+        assert (exc.value.axiom, exc.value.witness) == expected
+        failed.add(expected[0])
+    assert failed == {"two-sided unit exists", "commutativity", "associativity"}
 
 
 # -- two-torsion and core ----------------------------------------------------------------

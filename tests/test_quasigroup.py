@@ -14,13 +14,18 @@ from quasilab import (
     ParastropheSelector,
     Permutation,
     Quasigroup,
+    SearchOptions,
+    builtin,
     cyclic,
+    direct_product,
+    enumerate_abelian_groups,
+    find_all,
     from_table,
     subtraction_quasigroup,
 )
-from quasilab.quasigroup import _lex_sorted, _parastrophes, _table_key
+from quasilab.quasigroup import _associative, _generators, _lex_sorted, _parastrophes, _table_key
 from conftest import addition_table
-from oracles import parastrophe13_table
+from oracles import all_latin_squares, closure, holds_bruteforce, parastrophe13_table
 
 
 # -- construction and validation ------------------------------------------------
@@ -308,6 +313,76 @@ def test_unit_profile_is_held_to_the_evaluation_budget():
     # its associativity scan spans n^3 cells, above 2^24 at order 257
     with pytest.raises(OrderTooLarge, match="budget"):
         Quasigroup(addition_table(257)).unit_predicates()
+
+
+# -- generating sets and Light's associativity test -------------------------------
+
+
+def _symmetric_group_table(k: int) -> np.ndarray:
+    """Cayley table of S_k, permutations in lexicographic order, composed
+    as (p*q)(i) = p(q(i))."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[i] for i in q)] for q in perms] for p in perms])
+
+
+def _seeded_loop(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A loop of order n: cycle switches on row pairs of a Latin square,
+    then the principal isotope x o y = (x/b)*(a\\y), whose unit is a*b.
+    The square is Z_n, but at prime n every cycle switch of a Z_n isotope
+    swaps whole rows, so there it is the lexicographically least square,
+    which has an intercalate and so is no isotope of Z_n."""
+    if all(n % p for p in range(2, n)):
+        t = find_all(SearchOptions(n, limit=1), max_order=n)[0].table.copy()
+    else:
+        t = addition_table(n)
+    for _ in range(n * n):
+        r1, r2 = rng.choice(n, 2, replace=False)
+        cols = [int(rng.integers(n))]
+        while True:     # the columns where rows r1 and r2 hold the same symbols
+            c = int(np.flatnonzero(t[r1] == t[r2, cols[-1]])[0])
+            if c == cols[0]:
+                break
+            cols.append(c)
+        t[r1, cols], t[r2, cols] = t[r2, cols], t[r1, cols]
+    q = Quasigroup(t)
+    a, b = (int(v) for v in rng.integers(n, size=2))
+    return q.table[q.rdiv_table[:, b][:, None], q.ldiv_table[a][None, :]]
+
+
+def _row_swapped(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    r1, r2 = rng.choice(len(table), 2, replace=False)
+    out = table.copy()
+    out[[r1, r2]] = out[[r2, r1]]
+    return out
+
+
+def test_light_test_equals_bruteforce_associativity():
+    associative = builtin("associative")
+    tables = [np.array(sq) for n in range(1, 5) for sq in all_latin_squares(n)]
+    assert len(tables) == 591
+    rng = np.random.default_rng(29)
+    groups = [_symmetric_group_table(3)] + [g.table for n in range(5, 17)
+                                            for g in enumerate_abelian_groups(n)]
+    tables += groups
+    tables += [_row_swapped(t, rng) for t in groups]
+    tables += [_seeded_loop(rng, n) for n in range(5, 17) for _ in range(2)]
+    verdicts = [_associative(t) for t in tables]
+    assert verdicts == [holds_bruteforce(t.tolist(), associative) for t in tables]
+    assert verdicts[591:591 + len(groups)] == [True] * len(groups)
+    assert not any(verdicts[591 + len(groups):])
+
+
+def test_generators_generate_and_are_few():
+    tables = [np.array(sq) for n in range(1, 5) for sq in all_latin_squares(n)]
+    tables += [g.table for n in range(1, 65) for g in enumerate_abelian_groups(n)]
+    tables += [cyclic(256).table, direct_product([cyclic(2)] * 8).table,
+               direct_product([cyclic(16)] * 2).table]
+    assert len(tables) == 591 + 117 + 3
+    for table in tables:
+        gens = list(_generators(table))
+        assert len(gens) <= len(table).bit_length()     # floor(log2 n) + 1
+        assert closure(table.tolist(), gens) == set(range(len(table)))
 
 
 # -- property tests over random isotopes ----------------------------------------------
