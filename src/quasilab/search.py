@@ -26,7 +26,7 @@ sentinel-padded tables for ``*``, ``\\`` and ``/``: an empty cell holds n,
 and rows and columns n and n + 1 hold n + 1, so a lookup with an unknown
 argument gives n + 1 and one of known arguments into an empty cell gives n.
 Row and column symbol sets come from the tables themselves, as bitmasks
-through a table of symbol bits, counted with a popcount table.
+through a table of symbol bits, counted with ``np.bitwise_count``.
 
 A settle round runs these rules on every table written in the round before
 (a fresh table counts as written):
@@ -263,27 +263,12 @@ class _Symbols:
     order 64, and Python ints in object arrays above.  ``bits[v]`` is {v}
     for a symbol and the empty set for the sentinels n and n + 1, so
     ``bits[t]`` ORed along a row of a padded table is the set the row
-    uses.  A popcount table counts members 16 bits at a time."""
+    uses, and ``np.bitwise_count`` counts its members."""
 
     def __init__(self, n: int):
-        kind = next((k for k, bits in ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.uint64, 64))
-                     if n <= bits), object)
+        kind = np.min_scalar_type((1 << n) - 1)
         self.bits = np.array([1 << v for v in range(n)] + [0, 0], dtype=kind)
         self.full = np.bitwise_or.reduce(self.bits)
-        width = min(n, 16)
-        self.pop = np.zeros(1 << width, dtype=np.intp)
-        for b in range(width):
-            self.pop[1 << b:2 << b] = self.pop[:1 << b] + 1
-        self.chunks = range(16, n, 16)
-
-    def count(self, m: np.ndarray) -> np.ndarray:
-        """The number of members of each set."""
-        if not self.chunks:             # m < 2**n, the length of the table
-            return self.pop[m]
-        c = self.pop[(m & 0xFFFF).astype(np.intp)]
-        for shift in self.chunks:
-            c += self.pop[((m >> shift) & 0xFFFF).astype(np.intp)]
-        return c
 
     def members(self, m: np.ndarray) -> np.ndarray:
         """The membership of each symbol, on a new last axis of length n."""
@@ -306,10 +291,10 @@ def _latin_rules(cells: np.ndarray, sym: _Symbols):
     cols = np.bitwise_or.reduce(bits, axis=1)
     empty = cells == n
     # a row without repeats uses one symbol per filled cell
-    dead = ((sym.count(rows) + empty.sum(2) != n).any(1)
-            | (sym.count(cols) + empty.sum(1) != n).any(1))
+    dead = ((np.bitwise_count(rows) + empty.sum(2) != n).any(1)
+            | (np.bitwise_count(cols) + empty.sum(1) != n).any(1))
     cand = sym.full & ~(rows[:, :, None] | cols[:, None])
-    num = sym.count(cand)
+    num = np.bitwise_count(cand)
     dead |= (empty & (num == 0)).any((1, 2))
     t, r, c = np.nonzero(empty & (num == 1) & ~dead[:, None, None])
     return dead, t, r, c, sym.members(cand[t, r, c]).argmax(-1)

@@ -299,8 +299,6 @@ def run_verification(
     def l1_t11() -> str:
         tested = []
         for q in instances:
-            if q.order < 3:
-                continue
             g = group_of(q)
             images = structure._autotopy_images(q, max_autotopy_order)
             a, nb = images[:, 0, g.zero], images[:, 1, g.zero]    # a = alpha(0) and -b = beta(0)
@@ -314,10 +312,9 @@ def run_verification(
             tested.append(q.order)
         return f"filters match a = -2b and b = 0; third components transitive (orders {sorted(tested)})"
 
-    orders_3_up = tuple(o for o in instance_orders if o >= 3)
     claim("L1_T11", "A-pseudoautomorphisms are the a = -2b (right) and b = 0 (left) autotopies; "
                     "their third components act transitively (GA)",
-          orders_3_up, l1_t11, vacuous=not orders_3_up)
+          instance_orders, l1_t11, vacuous=not instances)
 
     # T4 -- nontrivial pseudoautomorphism forces a one-sided unit
     census_orders = tuple(range(2, 5)) if max_order >= 2 else ()

@@ -124,6 +124,13 @@ def test_find_up_to_iso_above_the_canonical_bound_exits_before_searching(monkeyp
     assert "order 17 above canonical-form bound 16" in capsys.readouterr().err
 
 
+def test_find_refuses_a_non_integer_max_order_from_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("QUASILAB_MAX_ORDER", "six")
+    assert main(["find", "--order", "3", "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QUASILAB_MAX_ORDER must be an integer, got 'six'" in captured.err
+
+
 def test_find_max_order_override(capsys):
     assert main(["--max-order", "3", "find", "--order", "4", "--count-only"]) == 2
 

@@ -254,6 +254,15 @@ def test_lex_sorted_orders_tables_by_key():
     assert [_table_key(t) for t in ordered] == sorted(_table_key(t) for t in tables)
 
 
+def test_selector_names_and_tuples(z4_sub):
+    assert ParastropheSelector.identity().name == "e"
+    for name, sigma in (("e", (1, 2, 3)), ("id", (1, 2, 3)), ("(12)", (2, 1, 3)), ("(13)", (3, 2, 1)),
+                        ("(23)", (1, 3, 2)), ("(123)", (2, 3, 1)), ("(132)", (3, 1, 2))):
+        sel = ParastropheSelector.from_name(name)
+        assert sel.sigma == sigma and sel.name == ("e" if name == "id" else name)
+    assert z4_sub.parastrophe((3, 2, 1)) == z4_sub.parastrophe("(13)") != z4_sub
+
+
 def test_bad_selector():
     with pytest.raises(ValueError):
         ParastropheSelector((1, 1, 2))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilab import (
+    BadSymbol,
     NotLatin,
     OrderTooLarge,
     Quasigroup,
@@ -193,6 +194,12 @@ def test_class_pass_rejects_a_non_latin_table(monkeypatch):
     _search_adding(monkeypatch, [[2, 2, 2], [2, 2, 2], [2, 2, 2]])
     with pytest.raises(NotLatin):
         find_all(SearchOptions(3, up_to_isomorphism=True))
+
+
+def test_find_all_rejects_a_table_holding_the_symbol_n(monkeypatch):
+    _search_adding(monkeypatch, [[0, 1, 2], [1, 2, 0], [2, 0, 3]])
+    with pytest.raises(BadSymbol, match=r"^entry 3 at \(2, 2\) outside 0\.\.2$"):
+        find_all(SearchOptions(3))
 
 
 def test_class_pass_rejects_a_latin_non_model(monkeypatch):
@@ -606,11 +613,54 @@ def test_symbol_sets_count_and_list_their_members(n):
     sets = [0, (1 << n) - 1, 1 << (n - 1), *(int(rng.integers(0, 2**62)) << 2 | 1 for _ in range(20))]
     sets = [m & ((1 << n) - 1) for m in sets]
     m = np.array(sets, dtype=sym.bits.dtype)
-    assert sym.count(m).tolist() == [x.bit_count() for x in sets]
+    assert np.bitwise_count(m).tolist() == [x.bit_count() for x in sets]
     members = sym.members(m)
     assert members.shape == (len(sets), n)
     assert members.tolist() == [[bool(x >> s & 1) for s in range(n)] for x in sets]
     assert sym.full == (1 << n) - 1
+
+
+def _latin_rules_by_hand(cells):
+    """The dead mask and the single-candidate cells of ``search._latin_rules``,
+    from Python sets, cell by cell; n marks an empty cell."""
+    n = cells.shape[1]
+    dead, singles = [], []
+    for i, tab in enumerate(cells.tolist()):
+        rows = [[v for v in row if v != n] for row in tab]
+        cols = [[v for v in col if v != n] for col in zip(*tab)]
+        repeat = any(len(set(line)) != len(line) for line in rows + cols)
+        cands = {(r, c): set(range(n)) - set(rows[r]) - set(cols[c])
+                 for r in range(n) for c in range(n) if tab[r][c] == n}
+        dead.append(repeat or any(not cand for cand in cands.values()))
+        if not dead[-1]:
+            singles += [(i, r, c, min(cand)) for (r, c), cand in sorted(cands.items()) if len(cand) == 1]
+    return dead, singles
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_latin_rules_match_a_plain_check(n):
+    # order 64 has uint64 symbol sets and order 65 Python ints in object arrays
+    rng = np.random.default_rng(n)
+    a, b, c = (rng.permutation(n) for _ in range(3))
+    square = c[(a[:, None] + b) % n]        # a seeded isotope of Z_n
+    clean = np.where(rng.random((n, n)) < 0.05, n, square)
+    repeat = clean.copy()
+    repeat[3, 7] = repeat[3, 9] = square[3, 9]     # one symbol twice in row 3
+    stuck = np.full((n, n), n)              # (0, 0) sees every symbol in its row and column
+    stuck[0, 1:] = np.arange(1, n)
+    stuck[1, 0] = 0
+    stuck = stuck[np.ix_(a, b)]
+    empty_row = square.copy()
+    empty_row[5] = n
+    cells = np.array([clean, repeat, stuck, empty_row], dtype=np.intp)
+    sym = search._Symbols(n)
+    assert sym.bits.dtype == (np.uint64 if n == 64 else object)
+    dead, t, r, col, v = search._latin_rules(cells, sym)
+    want_dead, want_singles = _latin_rules_by_hand(cells)
+    assert dead.tolist() == want_dead == [False, True, True, False]
+    assert list(zip(*(x.tolist() for x in (t, r, col, v)))) == want_singles
+    assert {i for i, *_ in want_singles} == {0, 3}
+    assert [s[1:] for s in want_singles if s[0] == 3] == [(5, j, square[5, j]) for j in range(n)]
 
 
 @pytest.mark.parametrize("n", [16, 64])

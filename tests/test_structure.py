@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from quasilab import (
     Autotopy,
     DegreeMismatch,
     EmptyList,
+    NotDecomposable,
     OrderMismatch,
     OrderTooLarge,
     Permutation,
@@ -328,6 +330,36 @@ def test_automorphism_group_of_z2_4_visits_few_leaves(monkeypatch):
 
 
 # -- decomposition -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which, image, message", [
+    (0, [0, 2, 1, 3, 4], "residual map is not a group automorphism"),
+    (1, [0, 2, 1, 3, 4], "second component is not L+_(-b) . theta"),
+    (2, [1, 2, 3, 4, 0], "third component is not L+_(a+b) . theta"),
+])
+def test_decomposition_names_the_component_that_fails(z5_sub, which, image, message):
+    comps = [Permutation.identity(5)] * 3
+    comps[which] = Permutation(image)
+    t = Autotopy(*comps)
+    assert not is_autotopy(z5_sub, t)
+    with pytest.raises(NotDecomposable, match=f"^{re.escape(message)}$"):
+        decompose_autotopy(z5_sub, t)
+
+
+def test_pseudoautomorphism_witnesses_of_both_sides_are_autotopies():
+    tables = [subtraction_quasigroup(parse_group_spec(s)) for s in ("Z3", "Z2xZ2", "Z5")]
+    tables.append(Quasigroup([[(y - x) % 3 for y in range(3)] for x in range(3)]))   # y - x
+    seen = {"left": 0, "right": 0}
+    for q in tables:
+        for side in seen:
+            for w in pseudoautomorphisms(q, side):
+                t = w.to_autotopy(q)
+                assert is_autotopy(q, t)
+                # (L_c.theta, theta, L_c.theta) on the left, (theta, R_c.theta, R_c.theta) on the right
+                kept, paired = (t.beta, (t.alpha, t.gamma)) if side == "left" else (t.alpha, (t.beta, t.gamma))
+                assert kept == w.theta and paired[0] == paired[1]
+                seen[side] += 1
+    assert seen == {"left": 30, "right": 50}
 
 
 @pytest.mark.parametrize("degree", [3, 7])
