@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -52,7 +53,10 @@ def _row_pair(text: str) -> tuple[int, int]:
     return tuple(map(_int_at_least(0), parts))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: ``parse_args`` keeps no state between
+    calls, and ``append`` options copy their default list."""
     p = argparse.ArgumentParser(
         prog="quasilab",
         description="Finite quasigroup laboratory: identity checking, model search, structure analysis.",

@@ -15,14 +15,26 @@ operator applications; deeper input raises :class:`ParseError`.
 Every identity is compiled once, on first use, into :attr:`Identity.program`:
 post-order code of ``(op, left_slot, right_slot)`` instructions over the
 variable slots ``0..k-1`` (variables in first-occurrence order), in which
-repeated subterms share a slot.  ``_run`` is the only evaluator; it executes
-that code by table lookups on whatever the variable slots hold.  ``eval_term``
-gives it scalars.  Two consumers give it a stack of tables, read through
+repeated subterms share a slot.  :attr:`Identity.solved` is the same law in
+solved form (``_solve``): on a Latin table u*w = v holds exactly when
+w = u\\v, so a top lookup may move across ``=`` as its inverse lookup, and
+it does while that lowers the number of lookups spanning many variables.
+Neumann's x*((y*z)*(y*x)) = z is checked as (y*z)*(y*x) = x\\z, one lookup
+over the n^3 assignments instead of two.
+
+``_run`` is the only evaluator; it executes either code by table lookups on
+whatever the variable slots hold.  The checks of complete tables read the
+solved form: ``_blocks`` (behind ``holds``, ``counterexample``,
+``_first_violation`` and ``structure.nuclei``) and ``_holds_in_each``.  The
+rest read ``program``: ``eval_term``, which gives ``_run`` scalars, and the
+settle rounds of the model search.  On a partial table x\\z is unknown until
+z is placed in row x, so the solved form would change what the search
+forces.  Two consumers give ``_run`` a stack of tables, read through
 ``_Flat`` one flat index per lookup, with sparse variable grids behind a
-leading table axis: the settle rounds of the model search, on its
-sentinel-padded partial tables, and ``_holds_in_each``, which masks the
-tables of a Latin stack that satisfy an identity, in chunks of at most
-``BLOCK_CELLS`` cells (one table at least), so a search block is one chunk.
+leading table axis: the settle rounds, on the search's sentinel-padded
+partial tables, and ``_holds_in_each``, which masks the tables of a Latin
+stack that satisfy an identity, in chunks of at most ``BLOCK_CELLS`` cells
+(one table at least), so a search block is one chunk.
 
 ``holds``, ``counterexample`` and ``_first_violation`` give it sparse index
 grids, so each intermediate spans only the variables it uses, one block of
@@ -151,6 +163,13 @@ class Identity:
 
         lhs, rhs = emit(self.lhs), emit(self.rhs)
         return Program(tuple(code), lhs, rhs)
+
+    @cached_property
+    def solved(self) -> Program:
+        """:attr:`program` with top lookups moved across ``=`` while that
+        lowers the work (see ``_solve``); equivalent to it at every
+        assignment on every Latin table."""
+        return _solve(self.program, len(self.vars))
 
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
@@ -292,6 +311,80 @@ def format_term(t: Term) -> str:
     return f"{lhs}{t.op}{rhs}"
 
 
+# -- solved form -------------------------------------------------------------------
+
+
+def _inverses(op: str, a: int, b: int, v: int) -> tuple[tuple[int, tuple[str, int, int]], ...]:
+    """The two rewrites of the equation ``op(a, b) = v`` that a Latin table
+    admits, as pairs (the operand left alone, the lookup it equals):
+    a*b = v iff b = a\\v iff a = v/b; a\\b = v iff b = a*v iff a = b/v;
+    a/b = v iff a = v*b iff b = v\\a."""
+    if op == MUL:
+        return (b, (LDIV, a, v)), (a, (RDIV, v, b))
+    if op == LDIV:
+        return (b, (MUL, a, v)), (a, (RDIV, b, v))
+    return (a, (MUL, v, b)), (b, (LDIV, v, a))
+
+
+def _live(code, k: int, sides) -> list[int]:
+    """The slots of the lookups that the two sides read, ascending."""
+    live: set[int] = set()
+    todo = [s for s in sides if s >= k]
+    while todo:
+        s = todo.pop()
+        if s not in live:
+            live.add(s)
+            todo.extend(t for t in code[s - k][1:] if t >= k)
+    return sorted(live)
+
+
+def _work(code, k: int, sides) -> tuple[int, ...]:
+    """The counts of the live lookups that span k variables, k - 1, ..., 1.
+    A lookup spanning s variables costs n^s cells, so for large n the
+    tuples order the work as the cells do, and their order does not
+    depend on n."""
+    span = [1 << i for i in range(k)]
+    for _, a, b in code:
+        span.append(span[a] | span[b])
+    counts = [0] * k
+    for s in _live(code, k, sides):
+        counts[k - span[s].bit_count()] += 1
+    return tuple(counts)
+
+
+def _solve(prog: Program, k: int) -> Program:
+    """``prog`` in solved form.  While a side's top lookup can move to the
+    other side as its inverse (``_inverses``) and the cheapest such move
+    lowers ``_work``, the move is made; a tie keeps the law.  Then the
+    lookups that nothing reads any more are dropped.  Every move is an
+    equivalence at each assignment on a Latin table, so the violations are
+    the same cells.  Neumann's x*((y*z)*(y*x)) = z becomes
+    (y*z)*(y*x) = x\\z: one lookup over all n^3 assignments instead of two."""
+    code, sides = list(prog.code), (prog.lhs, prog.rhs)
+    work = _work(code, k, sides)
+    while True:
+        moves = []
+        for i, top in enumerate(sides):
+            if top < k:
+                continue
+            for kept, lookup in _inverses(*code[top - k], sides[1 - i]):
+                trial = code if lookup in code else code + [lookup]
+                slot = k + trial.index(lookup)
+                moved = (kept, slot) if i == 0 else (slot, kept)
+                moves.append((_work(trial, k, moved), trial, moved))
+        best = min(moves, key=lambda m: m[0], default=None)
+        if best is None or best[0] >= work:
+            break
+        work, code, sides = best
+    slot = {s: s for s in range(k)}
+    out = []
+    for s in _live(code, k, sides):
+        op, a, b = code[s - k]
+        out.append((op, slot[a], slot[b]))
+        slot[s] = k + len(out) - 1
+    return Program(tuple(out), slot[sides[0]], slot[sides[1]])
+
+
 # -- semantics ----------------------------------------------------------------------
 
 
@@ -366,16 +459,17 @@ def _blocks(q: Quasigroup, ident: Identity,
     whole.  Blocks come in the order of ``axes``, so the first block with a
     violation holds the first violation in that order.
 
-    Each slot is evaluated over sparse index grids, so an intermediate
-    spans only the axes of the variables it uses; only the final
-    comparison is broadcast (as a view) to the block's shape.  ``q`` is
-    read only through ``order`` and the tables the identity looks up
-    (``table`` alone for a law in ``*``).
+    Each slot of the solved form (:attr:`Identity.solved`) is evaluated
+    over sparse index grids, so an intermediate spans only the axes of the
+    variables it uses; only the final comparison is broadcast (as a view)
+    to the block's shape.  ``q`` is read only through ``order`` and the
+    tables the solved form looks up, so a law in ``*`` alone may read a
+    division table (Neumann's reads ``ldiv_table``).
     """
     n = q.order
     k = len(ident.vars)
     _check_cells(n, k)
-    prog = ident.program
+    prog = ident.solved
     grids = np.indices((n,) * k, sparse=True)
     cuts = []       # (axis, values per block), slowest first
     rest = n**k
@@ -425,14 +519,19 @@ class _Flat:
 
 
 def _holds_in_each(tables: np.ndarray, ident: Identity) -> np.ndarray:
-    """Mask of the Latin tables of the (m, n, n) stack ``tables`` in which
-    the identity holds: the sparse variable grids of ``holds`` behind a
-    leading table axis, over chunks of at most ``BLOCK_CELLS`` cells (one
-    table at least)."""
+    """Mask of the tables of the (m, n, n) stack ``tables`` in which the
+    identity holds: the solved form over the sparse variable grids of
+    ``holds`` behind a leading table axis, in chunks of at most
+    ``BLOCK_CELLS`` cells (one table at least).
+
+    Every table must be Latin.  The division tables that the solved form
+    reads are argsorts of the rows and columns, which invert them only
+    when they are permutations; on a non-Latin table the mask means
+    nothing."""
     m, n = tables.shape[:2]
     k = len(ident.vars)
     _check_cells(n, k)
-    prog = ident.program
+    prog = ident.solved
     ops = {op for op, _, _ in prog.code}
     grids = [g[None] for g in np.indices((n,) * k, sparse=True)]
     step = max(1, BLOCK_CELLS // n**k)

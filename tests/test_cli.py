@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from quasilab import cyclic, format_table, parse_group_spec, parse_table_text, subtraction_quasigroup
-from quasilab import search, structure
+from quasilab import cli, search, structure
 from quasilab.cli import main
 from conftest import addition_table
 from quasilab import Quasigroup
@@ -430,6 +430,31 @@ def test_malformed_numeric_option_is_a_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(monkeypatch, capsys):
+    # repeated --identity and --identity-expr flags append to a fresh list in
+    # each call, and a usage error leaves the next call's result unchanged
+    resolved = []
+    resolve = cli._resolve_identities
+    monkeypatch.setattr(cli, "_resolve_identities",
+                        lambda names, exprs: resolved.append((list(names), list(exprs))) or resolve(names, exprs))
+    both = ["find", "--order", "4", "--identity", "neumann", "--identity", "schweizer",
+            "--identity-expr", "x*x = y*y", "--identity-expr", "x*y = y*x", "--count-only"]
+    assert main(both) == 0
+    first = capsys.readouterr().out
+    assert main(["find", "--order", "4", "--identity", "eq5", "--count-only"]) == 0
+    assert main(["find", "--order", "3", "--count-only"]) == 0
+    assert capsys.readouterr().out.split() == ["16", "12"]
+    with pytest.raises(SystemExit) as exc:
+        main(["find", "--order", "4", "--identity", "neumann", "--limit", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(both) == 0
+    assert capsys.readouterr().out == first
+    assert resolved == [(["neumann", "schweizer"], ["x*x = y*y", "x*y = y*x"]), (["eq5"], []), ([], []),
+                        (["neumann", "schweizer"], ["x*x = y*y", "x*y = y*x"])]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_find_json(capsys):

@@ -30,7 +30,7 @@ from quasilab import (
     parse_term,
     subtraction_quasigroup,
 )
-from quasilab import abelian, identities, quasigroup, search, structure
+from quasilab import abelian, identities, quasigroup, search, structure, verification
 from quasilab.identities import _CATALOG, LDIV, MUL, RDIV, Identity, _first_violation
 from quasilab.identities import _Flat, _holds_in_each
 from conftest import addition_table
@@ -222,12 +222,32 @@ def _patch_blocks(monkeypatch, setting: tuple[int, int]) -> None:
     monkeypatch.setattr(identities, "GATHER_CELLS", setting[1])
 
 
-@pytest.mark.parametrize("name", builtin_names())
+# Laws outside the catalog for the solved form: one per rewrite of a top
+# lookup across '=' (each solves to (y*z)*(y*x) against a lookup of x and z),
+# Neumann with its sides swapped, and a law whose moves all tie, which keeps
+# its program.
+_SOLVING_LAWS = {
+    "mul_right": "z = x*((y*z)*(y*x))",         # a*b = v: b = a\v
+    "mul_left": "((y*z)*(y*x))*x = z",          # a*b = v: a = v/b
+    "ldiv_right": "x\\((y*z)*(y*x)) = z",       # a\b = v: b = a*v
+    "ldiv_left": "((y*z)*(y*x))\\x = z",        # a\b = v: a = b/v
+    "rdiv_left": "((y*z)*(y*x))/x = z",         # a/b = v: a = v*b
+    "rdiv_right": "x/((y*z)*(y*x)) = z",        # a/b = v: b = v\a
+    "tied": "x*(y*z) = (x*y)\\z",
+}
+
+
+def _law(name: str) -> Identity:
+    return parse_identity(_SOLVING_LAWS[name]) if name in _SOLVING_LAWS else builtin(name)
+
+
+@pytest.mark.parametrize("name", builtin_names() + tuple(_SOLVING_LAWS))
 def test_blocked_evaluation_matches_bruteforce(name, monkeypatch):
     # every catalog law, including those with a bare variable on a cut axis
-    # (commutative, unipotent, neumann's y*x), on every Latin square of
-    # orders 1-4, with blocks from single cells up to ragged slices
-    ident = builtin(name)
+    # (commutative, unipotent, neumann's y*x), and the solving laws, on every
+    # Latin square of orders 1-4, with blocks from single cells up to ragged
+    # slices; the oracle evaluates the parsed terms, not the solved form
+    ident = _law(name)
     k = len(ident.vars)
     for table in _SMALL_LATIN:
         q = Quasigroup(table)
@@ -238,6 +258,40 @@ def test_blocked_evaluation_matches_bruteforce(name, monkeypatch):
             assert holds(q, ident) == (cx is None), (table, setting)
             assert counterexample(q, ident) == cx, (table, setting)
             assert _first_violation(q, ident) == lex, (table, setting)
+
+
+def _work_by_span(prog, k: int) -> list[int]:
+    """The lookups of ``prog`` that span at least k, k - 1, ..., 1 variables."""
+    span = [{i} for i in range(k)]
+    for _, a, b in prog.code:
+        span.append(span[a] | span[b])
+    sizes = [len(s) for s in span[k:]]
+    return [sum(size >= s for size in sizes) for s in range(k, 0, -1)]
+
+
+def test_solved_forms_of_the_catalog():
+    # Neumann alone changes: (y*z)*(y*x) against x\z, one lookup over all
+    # of x, y and z; no law does more lookups of any span size or above
+    for name in builtin_names():
+        ident = builtin(name)
+        k = len(ident.vars)
+        assert all(s <= p for s, p in zip(_work_by_span(ident.solved, k), _work_by_span(ident.program, k))), name
+        assert (ident.solved == ident.program) == (name != "neumann"), name
+    solved = builtin("neumann").solved
+    assert _work_by_span(solved, 3) == [1, 4, 4]
+    x, y, z = range(3)
+    assert solved.code == ((MUL, y, z), (MUL, y, x), (MUL, 3, 4), (LDIV, x, z))
+    assert (solved.lhs, solved.rhs) == (5, 6)
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVING_LAWS))
+def test_solving_laws_move_one_lookup_or_keep_their_program(name):
+    ident = _law(name)
+    if name == "tied":
+        assert ident.solved == ident.program
+    else:
+        assert _work_by_span(ident.solved, 3) == [1, 4, 4]
+        assert _work_by_span(ident.program, 3) == [2, 4, 4]
 
 
 def test_blocked_nuclei_match_bruteforce(monkeypatch):
@@ -439,7 +493,7 @@ def order4_squares() -> np.ndarray:
 @pytest.mark.parametrize("block_cells", [identities.BLOCK_CELLS, 100])
 @pytest.mark.parametrize("text", [_CATALOG[name] for name in ("neumann", "medial", "left_bol", "moufang",
                                                                "unipotent", "commutative")]
-                         + ["x = x", "x\\y = y/x"])
+                         + ["x = x", "x\\y = y/x"] + list(_SOLVING_LAWS.values()))
 def test_holds_in_each_is_holds_on_each_table_chunk_by_chunk(monkeypatch, order4_squares, block_cells, text):
     # the 576 squares of order 4 span 3 chunks of a 4-variable law at the
     # default block size, and one table per chunk at 100 cells
@@ -467,3 +521,21 @@ def test_holds_in_each_on_a_mixed_stack_and_on_none(order4_squares):
     mask = _holds_in_each(order4_squares, builtin("neumann"))
     assert 0 < mask.sum() < len(mask)
     assert _holds_in_each(order4_squares[:0], builtin("neumann")).shape == (0,)
+
+
+def test_holds_in_each_is_given_only_latin_stacks(monkeypatch):
+    # the solved form reads division tables that are argsorts, which invert
+    # only permutations: a default verification, implies_on_order and the
+    # find_all re-check hand _holds_in_each Latin stacks alone
+    seen = []
+    for module in (abelian, search, verification):
+        def recording(tables, ident, name=module.__name__):
+            seen.append((name, len(tables) == 0 or quasigroup._all_latin(tables)))
+            return _holds_in_each(tables, ident)
+
+        monkeypatch.setattr(module, "_holds_in_each", recording)
+    assert verification.run_verification().overall
+    assert implies_on_order(5, builtin("neumann"), builtin("schweizer")).holds
+    assert len(search.find_all(search.SearchOptions(4, (builtin("eq5"),)))) > 0
+    assert {name for name, _ in seen} == {"quasilab.abelian", "quasilab.search", "quasilab.verification"}
+    assert all(latin for _, latin in seen)
