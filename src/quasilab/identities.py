@@ -22,8 +22,9 @@ it does while that lowers the number of lookups spanning many variables.
 Neumann's x*((y*z)*(y*x)) = z is checked as (y*z)*(y*x) = x\\z, one lookup
 over the n^3 assignments instead of two.
 
-``_run`` is the only evaluator; it executes either code by table lookups on
-whatever the variable slots hold.  The checks of complete tables read the
+``_run`` executes either code by table lookups on whatever the variable
+slots hold, and ``_blocks`` runs the same code one block at a time (see
+below).  The checks of complete tables read the
 solved form: ``_blocks`` (behind ``holds``, ``counterexample``,
 ``_first_violation`` and ``structure.nuclei``) and ``_holds_in_each``.  The
 rest read ``program``: ``eval_term``, which gives ``_run`` scalars, and the
@@ -36,20 +37,27 @@ partial tables, and ``_holds_in_each``, which masks the tables of a Latin
 stack that satisfy an identity, in chunks of at most ``BLOCK_CELLS`` cells
 (one table at least), so a search block is one chunk.
 
-``holds``, ``counterexample`` and ``_first_violation`` give it sparse index
-grids, so each intermediate spans only the variables it uses, one block of
-the n^k assignments at a time (``_blocks``).  A block spans at most
+``holds``, ``counterexample`` and ``_first_violation`` evaluate over sparse
+index grids, so each intermediate spans only the variables it uses, one
+block of the n^k assignments at a time (``_blocks``).  A block spans at most
 ``BLOCK_CELLS`` cells, so an evaluation holds one block's intermediates, not
-n^k cells.  Its lookups (``_Gather``) gather whole table rows where the two
-operands span disjoint axes, as in ``(x*y)*z`` and ``x*(y*z)``, and then the
-columns that the other operand names; operands that share an axis, as ``x``
-and ``y*x`` do, and lookups of fewer than ``GATHER_CELLS`` cells index the
-table with two broadcast index arrays.
+n^k cells, and a slot that spans none of the axes cut into blocks, as
+Neumann's y*z when x is cut, is evaluated once, before the first block.
+The lookups (``_Gather``) of at least ``GATHER_CELLS`` cells compute their
+values in the narrowest unsigned dtype that holds the elements, uint8 up to
+order 256 and uint16 above, from a copy of the int64 table made for the one
+evaluation: they gather whole table rows where the two operands span
+disjoint axes, as in ``(x*y)*z`` and ``x*(y*z)``, and then the columns that
+the other operand names; where the operands share an axis, as ``y*z`` and
+``y*x`` do, they take the flat indices ``a*n + b``, formed in intp.  The
+smaller lookups index the int64 table with two broadcast index arrays.
+``Quasigroup.table`` and the division tables stay int64.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -91,11 +99,16 @@ _OPS = (MUL, LDIV, RDIV)
 # Bounds the recursion of the parser and of every walker over a Term.
 MAX_TERM_DEPTH = 256
 
-# Cells of one block of an exhaustive evaluation: 2^16 cells keep each int64
-# intermediate at 512 KB, and were the fastest size at orders 16 to 64.
+# Cells of one block of an exhaustive evaluation.  At 2^16 cells a block's
+# uint8 lookup values take 64 KiB (uint16: 128 KiB), its flat-index buffer
+# 512 KiB, and a chunk of _holds_in_each, whose values are int64, 512 KiB.
+# With uint8 values, holds at orders 16 to 128 (2-core host) ran 1.05-1.8x
+# slower at 2^14 cells, and at 2^17 or 2^18 up to 1.2x faster (medial at
+# orders 48 and 64), but the int64 chunks of _holds_in_each would double.
 BLOCK_CELLS = 2**16
-# Below this many cells, a two-index lookup is faster than a gather of rows
-# and columns, whose extra numpy calls cost a few microseconds.
+# Below this many cells, a two-index lookup into the int64 table is faster
+# than the narrow copy and a gather, whose extra numpy calls cost a few
+# microseconds.
 GATHER_CELLS = 2**11
 
 
@@ -338,14 +351,20 @@ def _live(code, k: int, sides) -> list[int]:
     return sorted(live)
 
 
+def _spans(code, k: int) -> list[int]:
+    """Per slot, the bit mask of the variables it spans."""
+    span = [1 << i for i in range(k)]
+    for _, a, b in code:
+        span.append(span[a] | span[b])
+    return span
+
+
 def _work(code, k: int, sides) -> tuple[int, ...]:
     """The counts of the live lookups that span k variables, k - 1, ..., 1.
     A lookup spanning s variables costs n^s cells, so for large n the
     tuples order the work as the cells do, and their order does not
     depend on n."""
-    span = [1 << i for i in range(k)]
-    for _, a, b in code:
-        span.append(span[a] | span[b])
+    span = _spans(code, k)
     counts = [0] * k
     for s in _live(code, k, sides):
         counts[k - span[s].bit_count()] += 1
@@ -418,29 +437,50 @@ def eval_term(q: Quasigroup, t: Term, assignment: Mapping[str, int]) -> int:
 
 
 class _Gather:
-    """Lookups ``t[a, b]`` into one operation table over k-axis sparse
-    grids.  Where no axis is spanned by both ``a`` and ``b`` and the result
-    has at least ``GATHER_CELLS`` cells, whole rows of ``a`` and then
+    """Lookups ``t[a, b]`` into one int64 operation table over k-axis
+    sparse grids.  A lookup of fewer than ``GATHER_CELLS`` cells indexes
+    the table with two broadcast index arrays.  The larger ones read a copy
+    of the table in the narrowest dtype that holds its elements
+    (``np.min_scalar_type(n - 1)``: uint8 up to order 256, uint16 above),
+    made on the first of them, and return values in that dtype.  Where no
+    axis is spanned by both ``a`` and ``b``, whole rows of ``a`` and then
     ``b``'s columns of them are gathered (or the columns first, if fewer
-    cells), and the result is a view with its axes in order; else it is a
-    two-index lookup."""
+    cells), and the result is a view with its axes in order.  Where an
+    axis is shared, as in ``(y*z)*(y*x)``, the flat indices ``a*n + b`` are
+    formed in intp, in one buffer that the table's shared-axis lookups of
+    the evaluation reuse, and taken from the raveled table: a fresh intp
+    array of a block's size per lookup cost more in new pages than the
+    lookup itself, and a two-index lookup into the narrow table took
+    1.1-1.8x as long as the flat take at orders 24 to 128."""
 
     def __init__(self, table: np.ndarray):
         self.table = table
+        self.narrow = None      # the narrow copy of the table
+        self.index = None       # the flat-index buffer
 
     def __getitem__(self, ab):
         a, b = ab
-        if a.size * b.size < GATHER_CELLS:
+        if a.size * b.size < GATHER_CELLS:     # no fewer than the lookup's cells
             return self.table[a, b]
-        shape = []
-        for x, y in zip(a.shape, b.shape):
-            if x > 1 < y:
-                return self.table[a, b]
-            shape.append(max(x, y))
+        shape = [max(x, y) for x, y in zip(a.shape, b.shape)]
+        cells = math.prod(shape)
+        if cells < GATHER_CELLS:
+            return self.table[a, b]
+        if self.narrow is None:
+            self.narrow = self.table.astype(np.min_scalar_type(len(self.table) - 1))
+        t = self.narrow
+        if cells < a.size * b.size:     # an axis spanned by both
+            if self.index is None or len(self.index) < cells:
+                self.index = np.empty(cells, dtype=np.intp)
+            index = self.index[:cells].reshape(shape)
+            # widened before the product: a uint8 a * n would wrap
+            np.multiply(a, np.intp(len(t)), out=index)
+            index += b
+            return t.reshape(-1).take(index)
         k = len(shape)
         both = a.shape + b.shape
         a, b = a.reshape(-1), b.reshape(-1)
-        out = self.table[a][:, b] if len(a) <= len(b) else self.table[:, b][a]
+        out = t.take(a, 0).take(b, 1) if len(a) <= len(b) else t.take(b, 1).take(a, 0)
         # axis i of a's shape next to axis i of b's, one of them of extent 1
         return out.reshape(both).transpose([j for i in range(k) for j in (i, k + i)]).reshape(shape)
 
@@ -462,9 +502,14 @@ def _blocks(q: Quasigroup, ident: Identity,
     Each slot of the solved form (:attr:`Identity.solved`) is evaluated
     over sparse index grids, so an intermediate spans only the axes of the
     variables it uses; only the final comparison is broadcast (as a view)
-    to the block's shape.  ``q`` is read only through ``order`` and the
-    tables the solved form looks up, so a law in ``*`` alone may read a
-    division table (Neumann's reads ``ldiv_table``).
+    to the block's shape, where it lacks an axis.  A slot that spans no cut
+    axis holds the same values in every block and is evaluated once, before
+    the first.  The lookups (``_Gather``) return uint8 or uint16 values from
+    ``GATHER_CELLS`` cells up and int64 below, and an int64 side of the
+    comparison (a bare variable or a small lookup) is cast to the other's
+    dtype first.  ``q`` is read only through ``order`` and the tables the
+    solved form looks up, so a law in ``*`` alone may read a division table
+    (Neumann's reads ``ldiv_table``).
     """
     n = q.order
     k = len(ident.vars)
@@ -472,23 +517,41 @@ def _blocks(q: Quasigroup, ident: Identity,
     prog = ident.solved
     grids = np.indices((n,) * k, sparse=True)
     cuts = []       # (axis, values per block), slowest first
+    cut = 0         # their bit mask
     rest = n**k
     for a in axes:
         if rest <= BLOCK_CELLS:
             break
         rest //= n
         cuts.append((a, max(1, BLOCK_CELLS // rest)))
+        cut |= 1 << a
     tables = {op: _Gather(t) for op, t in _tables(q, prog.code).items()}
+    span = _spans(prog.code, k)
+    fixed = list(grids)     # a block replaces the grids of the cut axes
+    code = []               # the lookups that each block evaluates
+    for s, (op, a, b) in enumerate(prog.code, k):
+        if span[s] & cut:
+            code.append((s, op, a, b))
+            fixed.append(None)
+        else:
+            fixed.append(tables[op][fixed[a], fixed[b]])
     where = [slice(0, n)] * k
     shape = [n] * k
     for starts in itertools.product(*(range(0, n, step) for _, step in cuts)):
-        block = list(grids)
+        vals = list(fixed)
         for (a, step), lo in zip(cuts, starts):
             where[a] = slice(lo, min(lo + step, n))
             shape[a] = where[a].stop - lo
-            block[a] = grids[a][(slice(None),) * a + (where[a],)]
-        vals = _run(prog.code, tables, block)
-        yield tuple(where), np.broadcast_to(vals[prog.lhs] != vals[prog.rhs], shape)
+            vals[a] = grids[a][(slice(None),) * a + (where[a],)]
+        for s, op, a, b in code:
+            vals[s] = tables[op][vals[a], vals[b]]
+        lhs, rhs = vals[prog.lhs], vals[prog.rhs]
+        if lhs.itemsize > rhs.itemsize:
+            lhs = lhs.astype(rhs.dtype)
+        elif rhs.itemsize > lhs.itemsize:
+            rhs = rhs.astype(lhs.dtype)
+        bad = lhs != rhs
+        yield tuple(where), bad if bad.shape == tuple(shape) else np.broadcast_to(bad, shape)
 
 
 def holds(q: Quasigroup, ident: Identity) -> bool:

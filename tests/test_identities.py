@@ -303,6 +303,91 @@ def test_blocked_nuclei_match_bruteforce(monkeypatch):
             assert structure.nuclei(q) == expected, (table, setting)
 
 
+def _sub_table(n: int) -> np.ndarray:
+    return (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+
+
+def _scan(t: np.ndarray, ident: Identity, axes) -> "tuple[int, ...] | None":
+    """First failing assignment of a law in ``*`` alone, in the order of
+    ``ident.vars``, with the variables from slowest to fastest as ``axes``
+    lists them: a plain int64 numpy scan of the parsed terms over full grids
+    of the other variables, one value of the slowest at a time."""
+    n, k = len(t), len(ident.vars)
+    t = t.astype(np.int64)
+
+    def value(term, env):
+        if isinstance(term, Var):
+            return env[term.name]
+        assert term.op == MUL
+        return t[value(term.lhs, env), value(term.rhs, env)]
+
+    slow, rest = axes[0], axes[1:]
+    grids = np.indices((n,) * (k - 1))
+    for v in range(n):
+        env = {ident.vars[slow]: v, **{ident.vars[a]: g for a, g in zip(rest, grids)}}
+        bad = np.broadcast_to(value(ident.lhs, env) != value(ident.rhs, env), (n,) * (k - 1))
+        if bad.any():
+            first = dict(zip(rest, np.unravel_index(int(bad.argmax()), bad.shape)))
+            first[slow] = v
+            return tuple(int(first[a]) for a in range(k))
+    return None
+
+
+def _assert_matches_scan(t: np.ndarray, ident: Identity) -> None:
+    q = Quasigroup(t)
+    k = len(ident.vars)
+    lex = _scan(t, ident, tuple(range(k)))
+    cx = _scan(t, ident, tuple(range(k - 1, -1, -1)))
+    assert holds(q, ident) == (lex is None)
+    assert counterexample(q, ident) == (None if cx is None else dict(zip(ident.vars, cx)))
+    assert _first_violation(q, ident) == lex
+
+
+@pytest.mark.parametrize("n, dtype", [(48, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_gathered_lookups_are_narrow_and_small_ones_int64(n, dtype):
+    t = _sub_table(n)
+    g = identities._Gather(Quasigroup(t).table)
+    x, y = np.indices((n, n), sparse=True)
+    for got, want in ((g[x, y], t),                                 # rows, then columns
+                      (g[x, g[x, y]], t[x, t[x, y]]),               # x shared
+                      (g[g[x, y], x], t[t[x, y], x])):              # narrow values as indices
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert g[x[:2], y[:, :2]].dtype == np.int64                   # 4 cells
+    assert Quasigroup(t).table.dtype == np.int64
+
+
+@pytest.mark.parametrize("gather_cells", [identities.GATHER_CELLS, 0])
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_two_variable_laws_at_the_dtype_edges(n, gather_cells, monkeypatch):
+    # lookups are uint8 up to order 256 and uint16 above; with GATHER_CELLS
+    # = 0 even x*x, whose operands share x, reads the narrow table.  On
+    # x - y, x*(x*y) = y and (x*y)*x = (y*y)*y hold at every cell only if
+    # no index wraps: their outer lookups share x and form the flat indices
+    # x*n + x*y and (x*y)*n + x, the second from narrow values
+    monkeypatch.setattr(identities, "GATHER_CELLS", gather_cells)
+    t = _sub_table(n)
+    shared = [parse_identity("x*(x*y) = y"), parse_identity("(x*y)*x = (y*y)*y")]
+    for ident in [builtin("unipotent"), builtin("commutative")] + shared:
+        _assert_matches_scan(t, ident)
+    for ident in [builtin("unipotent")] + shared:
+        assert holds(Quasigroup(t), ident)
+    assert counterexample(Quasigroup(t), builtin("commutative")) == {"x": 1, "y": 0}
+    if n > 256:
+        with pytest.raises(OrderTooLarge, match="budget"):
+            holds(Quasigroup(t), builtin("neumann"))
+
+
+def test_neumann_over_z256_at_the_full_budget():
+    # 256^3 = 2^24 cells: the flat indices a*n + b of (y*z)*(y*x) run up
+    # to n^2 - 1 and would wrap in the uint8 values they are formed from
+    t = _sub_table(256)
+    _assert_matches_scan(t, builtin("neumann"))
+    t[[0, 1]] = t[[1, 0]]
+    _assert_matches_scan(t, builtin("neumann"))
+    assert counterexample(Quasigroup(t), builtin("neumann")) is not None
+
+
 def test_holds_memory_stays_below_three_full_grids():
     # Intermediates span only the variables they use; a full int64 grid of
     # all n^4 assignments is 2.5 MiB at n = 24.
